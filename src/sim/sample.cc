@@ -1,5 +1,6 @@
 #include "sample.hh"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 #include <utility>
@@ -150,6 +151,50 @@ compareSampled(const SampledStats &sampled, const SimStats &full)
     return err;
 }
 
+std::uint64_t
+warmCheckpoints(const trace::Trace &trace, const SimConfig &machine,
+                const std::vector<std::uint64_t> &stops,
+                const std::function<void(std::size_t, MachineState)>
+                    &visit)
+{
+    if (stops.empty())
+        return 0;
+    // warm() fetches an IL1 line on its first instruction and then
+    // once per line change, so a call that resumes mid-line makes
+    // one fetch that a single long call would not: a hit on the
+    // line already most recent, which leaves every later miss the
+    // same but moves the instruction side's counters and LRU
+    // clock. While the resumed stream stays on that line, nothing
+    // else reaches the instruction side, so the pass restores it
+    // from a copy at the first line change and the walk is exact.
+    const int line_shift = std::countr_zero(static_cast<unsigned>(
+        std::max(1, machine.memory.il1.lineBytes)));
+    const auto line = [&](std::uint64_t i) {
+        return trace[i].byteAddress() >> line_shift;
+    };
+    MachineState pass(machine);
+    std::uint64_t at = 0;
+    for (std::size_t k = 0; k < stops.size(); ++k) {
+        const std::uint64_t stop = stops[k];
+        if (at > 0 && at < stop && line(at - 1) == line(at)) {
+            std::uint64_t end = at + 1;
+            while (end < stop && line(end) == line(at))
+                ++end;
+            const InstrHierarchy imem = pass.instrHierarchy();
+            pass.warm(trace.subspan(at, end - at));
+            pass.instrHierarchy() = imem;
+            at = end;
+        }
+        pass.warm(trace.subspan(at, stop - at));
+        at = stop;
+        if (k + 1 == stops.size())
+            visit(k, std::move(pass));
+        else
+            visit(k, pass.snapshot());
+    }
+    return stops.back();
+}
+
 SampledStats
 sampleTrace(const trace::Trace &trace, const SimConfig &machine,
             const SampleConfig &config)
@@ -161,37 +206,49 @@ sampleTrace(const trace::Trace &trace, const SimConfig &machine,
     const std::vector<SampleWindow> windows =
         planWindows(trace.size(), config);
 
-    // Chunks are the parallel unit. Each chunk trains a cold
-    // MachineState over its first window's warmup prefix, then
-    // alternates detailed measurement (runWindow) with functional
-    // warming of the inter-window gaps, so every window after a
-    // chunk's first carries *continuous* state history — the
-    // bounded-warmup error is paid once per chunk, not once per
-    // window. The chunk partition depends only on the config, and
-    // results land in index-ordered slots merged after the pool
-    // drains, so the aggregate is bit-identical whatever the
-    // execution schedule was.
+    // Chunks are the parallel unit. A chunk starts from machine
+    // state warm up to its first window, then alternates detailed
+    // measurement (runWindow) with functional warming of the
+    // inter-window gaps, so every window after a chunk's first
+    // carries *continuous* state history — the bounded-warmup
+    // error is paid once per chunk, not once per window. The chunk
+    // partition depends only on the config, and results land in
+    // index-ordered slots merged after the pool drains, so the
+    // aggregate is bit-identical whatever the execution schedule
+    // was.
+    //
+    // A chunk whose warmup reaches back to the trace's head (every
+    // chunk of a full-prefix plan, the lone chunk of a single-chunk
+    // plan, the leading chunks of any plan) starts from a
+    // checkpoint of one shared functional pass (warmCheckpoints),
+    // so the prefix warming of all such chunks costs one walk of
+    // the trace, not one per chunk. Each checkpoint goes to the
+    // pool the moment it exists, so chunks run while the pass
+    // walks on. Chunks with a bounded warmup start cold at their
+    // warmupBegin.
     //
     // Cache miss rates are never extrapolated from windows: the
     // functional stream covers the complete trace and the
     // whole-trace dl1/l2 counters are read off the machine state.
-    // Whenever the last chunk's warmup reaches back to the trace's
-    // head (always true for a lone chunk, whose first window warms
-    // the full prefix regardless of warmupInsts; true for any
-    // chunk when warmupInsts exceeds the trace) that chunk's own
-    // walk [0, lastWindowEnd) plus a warmed tail IS the coverage
-    // stream, for free. Only a multi-chunk run with bounded
-    // warmups needs a dedicated coverage pass as one extra
-    // parallel task.
+    // When the last chunk starts from a checkpoint, its own walk
+    // [0, lastWindowEnd) plus a warmed tail IS the coverage
+    // stream, for free. Only a plan whose last chunk has a bounded
+    // warmup needs a dedicated coverage pass as one extra task.
     std::vector<SimStats> results(windows.size());
     const std::size_t chunk =
         static_cast<std::size_t>(std::min<std::uint64_t>(
             config.chunkWindows, windows.size()));
     const std::size_t chunks =
         chunk == 0 ? 0 : (windows.size() + chunk - 1) / chunk;
-    const bool lastCovers = chunks == 1
-        || (chunks > 1
-            && windows[(chunks - 1) * chunk].warmupBegin == 0);
+    // The chunks warmed from the trace's head: a lone chunk, or
+    // the leading run whose warmupBegin is 0 (warmupBegin never
+    // decreases along the plan).
+    std::size_t headChunks = 0;
+    while (headChunks < chunks
+           && (chunks == 1
+               || windows[headChunks * chunk].warmupBegin == 0))
+        ++headChunks;
+    const bool lastCovers = chunks > 0 && headChunks == chunks;
     std::uint64_t dl1_accesses = 0;
     std::uint64_t dl1_misses = 0;
     std::uint64_t l2_accesses = 0;
@@ -202,27 +259,13 @@ sampleTrace(const trace::Trace &trace, const SimConfig &machine,
         l2_accesses = state.dataHierarchy().l2().accesses();
         l2_misses = state.dataHierarchy().l2().misses();
     };
-    const auto runChunk = [&](std::size_t c) {
-        if (c == chunks) {
-            // Dedicated coverage pass (bounded-warmup multi-chunk
-            // runs only): one pure functional walk of the whole
-            // trace for the exact miss-rate counters.
-            MachineState state(machine);
-            state.warm(trace.view());
-            harvest(state);
-            return;
-        }
+    // Measure chunk @p c from @p state, warm up to its first
+    // window.
+    const auto measureChunk = [&](std::size_t c, MachineState &state) {
         const std::size_t first = c * chunk;
         const std::size_t last =
             std::min(first + chunk, windows.size());
-        const std::uint64_t warm_begin = chunks == 1
-            ? 0
-            : windows[first].warmupBegin;
-        MachineState state(machine);
         Simulator sim(machine);
-        if (windows[first].begin > warm_begin)
-            state.warm(trace.subspan(
-                warm_begin, windows[first].begin - warm_begin));
         for (std::size_t i = first; i < last; ++i) {
             const SampleWindow &w = windows[i];
             results[i] = sim.runWindow(
@@ -242,19 +285,56 @@ sampleTrace(const trace::Trace &trace, const SimConfig &machine,
             harvest(state);
         }
     };
+    // The tasks that do not wait for the pass: bounded-warmup
+    // chunks from cold, then the dedicated coverage pass (one pure
+    // functional walk of the whole trace) when one is needed.
+    const auto runCold = [&](std::size_t c) {
+        MachineState state(machine);
+        if (c == chunks) {
+            state.warm(trace.view());
+            harvest(state);
+            return;
+        }
+        const SampleWindow &w = windows[c * chunk];
+        state.warm(
+            trace.subspan(w.warmupBegin, w.begin - w.warmupBegin));
+        measureChunk(c, state);
+    };
+    const std::size_t coldEnd =
+        chunks == 0 || lastCovers ? chunks : chunks + 1;
+    std::vector<std::uint64_t> stops(headChunks);
+    for (std::size_t c = 0; c < headChunks; ++c)
+        stops[c] = windows[c * chunk].begin;
 
-    // One extra task when the coverage pass is separate.
-    const std::size_t tasks =
-        chunks == 0 ? 0 : (lastCovers ? chunks : chunks + 1);
-    if (config.jobs <= 1 || tasks <= 1) {
+    std::uint64_t passInsts = 0;
+    if (config.jobs <= 1 || coldEnd <= 1) {
         // Serial path doubles as the nested-pool escape hatch: a
         // sweep point already running inside a ThreadPool task must
         // not wait() on a pool from within it.
-        for (std::size_t t = 0; t < tasks; ++t)
-            runChunk(t);
+        passInsts = warmCheckpoints(
+            trace, machine, stops,
+            [&](std::size_t c, MachineState state) {
+                measureChunk(c, state);
+            });
+        for (std::size_t c = headChunks; c < coldEnd; ++c)
+            runCold(c);
     } else {
+        // The calling thread runs the pass and hands each chunk to
+        // the pool as soon as its checkpoint exists; no task waits
+        // on another, and one wait() drains everything.
         core::ThreadPool pool(config.jobs);
-        pool.parallelFor(tasks, runChunk);
+        for (std::size_t c = headChunks; c < coldEnd; ++c)
+            pool.submit([&runCold, c] { runCold(c); });
+        passInsts = warmCheckpoints(
+            trace, machine, stops,
+            [&](std::size_t c, MachineState state) {
+                pool.submit(
+                    [&measureChunk, c,
+                     state = std::move(state)]() mutable {
+                        measureChunk(c, state);
+                    });
+            });
+        pool.wait();
     }
 
     SampledStats out;
@@ -274,17 +354,17 @@ sampleTrace(const trace::Trace &trace, const SimConfig &machine,
             * (static_cast<double>(w.represents)
                / static_cast<double>(w.count));
     }
-    // Functionally-warmed instructions: each chunk's prefix and
-    // gaps, plus the tail or the dedicated coverage pass.
+    // Functionally-warmed instructions: the checkpoint pass, each
+    // bounded chunk's warmup, every chunk's gaps, plus the tail or
+    // the dedicated coverage pass.
+    out.warmupInstructions = passInsts;
     for (std::size_t i = 0; i < windows.size(); ++i) {
         const SampleWindow &w = windows[i];
-        if (i % chunk == 0)
-            out.warmupInstructions += chunks == 1
-                ? w.begin
-                : w.begin - w.warmupBegin;
-        else
+        if (i % chunk != 0)
             out.warmupInstructions += w.begin
                 - (windows[i - 1].begin + windows[i - 1].count);
+        else if (i / chunk >= headChunks)
+            out.warmupInstructions += w.begin - w.warmupBegin;
     }
     if (chunks > 0) {
         const SampleWindow &w = windows.back();

@@ -26,6 +26,14 @@
  * identical for any jobs value, the same contract the design-space
  * sweep enforces.
  *
+ * Chunks whose warmup reaches the trace's head (all chunks of a
+ * full-prefix plan) share one functional pass on the calling
+ * thread: it walks the trace once and checkpoints the machine
+ * state at each such chunk's first window (warmCheckpoints), and
+ * each chunk starts from its checkpoint the moment it exists. A
+ * full-prefix plan therefore costs one functional pass plus its
+ * chunks' gaps, whatever the chunk count.
+ *
  * Timing (cycles, IPC, stall traumas) is extrapolated per window —
  * each window stands for its surrounding period. Cache miss
  * *rates* are not extrapolated at all: the sampler always streams
@@ -46,6 +54,7 @@
 #define BIOARCH_SIM_SAMPLE_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -64,11 +73,12 @@ struct SampleConfig
     std::uint64_t periodInsts = 250'000;
     /** Functional-warmup instructions ahead of each *chunk*'s
      * first window (clamped to the trace's start). Only bounds the
-     * warmup of chunks after the first in a multi-chunk run; a
-     * chunk starting at the trace's head — in particular the lone
-     * chunk of a default single-chunk run — warms its complete
-     * prefix instead, which costs nothing extra since the
-     * functional stream must cover the trace anyway. */
+     * warmup of chunks after the first in a multi-chunk run; the
+     * lone chunk of a default single-chunk run warms its complete
+     * prefix instead. Chunks whose warmup reaches the trace's head
+     * (all of them when this exceeds the trace) start from
+     * checkpoints of one shared functional pass, so full-prefix
+     * warmup costs one walk of the trace, not one per chunk. */
     std::uint64_t warmupInsts = 50'000;
     /**
      * Windows per chunk. A chunk is the parallel unit: its windows
@@ -127,8 +137,10 @@ struct SampledStats
     /** Length of the full trace the sample stands for. */
     std::uint64_t traceInstructions = 0;
     std::uint64_t measuredInstructions = 0;
-    /** Instructions streamed through the functional model only
-     * (prefix, gaps, tail, bounded chunk warmups, coverage pass). */
+    /** Instructions streamed through the functional model only:
+     * the checkpoint pass over the head-warmed chunks' prefix,
+     * bounded chunk warmups, gaps, tail and coverage pass. About
+     * one trace plus the gaps for a full-prefix plan. */
     std::uint64_t warmupInstructions = 0;
     /**
      * Whole-trace cache counters from the functional stream (warm
@@ -219,6 +231,20 @@ struct SampleError
 
 SampleError compareSampled(const SampledStats &sampled,
                            const SimStats &full);
+
+/**
+ * The checkpointed functional pass: one cold MachineState for
+ * @p machine walks @p trace once, up to stops.back(), and at each
+ * of the ascending instruction indices @p stops hands
+ * @p visit(k, state) a state whose stateDigest() equals that of a
+ * cold state given one warm() call over [0, stops[k]). Calls come
+ * in order on the calling thread. Returns the instructions it
+ * streamed through the functional model.
+ */
+std::uint64_t warmCheckpoints(
+    const trace::Trace &trace, const SimConfig &machine,
+    const std::vector<std::uint64_t> &stops,
+    const std::function<void(std::size_t, MachineState)> &visit);
 
 /**
  * Sample @p trace on @p machine: plan windows, measure them chunk

@@ -11,7 +11,9 @@
  *    across jobs {1, 2, 8} (fingerprint() and full equality);
  *  - checkpointing: MachineState snapshot/restore round-trips —
  *    a window simulated from a restored state reproduces the
- *    original run exactly, counter for counter.
+ *    original run exactly, counter for counter; and the sampler's
+ *    one-pass checkpoints equal cold per-chunk prefix warming, at
+ *    a functional cost bounded by the trace, not chunks x trace.
  */
 
 #include <gtest/gtest.h>
@@ -75,6 +77,28 @@ testMachine(const sim::MemoryConfig &memory)
     cfg.core = sim::core8Way();
     cfg.memory = memory;
     return cfg;
+}
+
+/** accuracySample split into full-prefix chunks of @p chunkWindows
+ * windows (the multi-core plan shape of bench_sim_speed). */
+sim::SampleConfig
+fullPrefixSample(const trace::Trace &tr, std::uint64_t chunkWindows)
+{
+    sim::SampleConfig cfg = accuracySample(tr);
+    cfg.chunkWindows = chunkWindows;
+    cfg.warmupInsts = std::uint64_t{1} << 60;
+    return cfg;
+}
+
+/** First-window begin of every chunk of @p cfg's plan. */
+std::vector<std::uint64_t>
+chunkStarts(const std::vector<sim::SampleWindow> &windows,
+            const sim::SampleConfig &cfg)
+{
+    std::vector<std::uint64_t> starts;
+    for (std::size_t i = 0; i < windows.size(); i += cfg.chunkWindows)
+        starts.push_back(windows[i].begin);
+    return starts;
 }
 
 TEST(SamplePlan, EmptyTraceYieldsNoWindows)
@@ -350,6 +374,147 @@ TEST(SampleCheckpoint, ContinuationIsUnaffectedBySnapshotCycle)
     EXPECT_EQ(a1, b1);
     EXPECT_EQ(a2, b2);
     EXPECT_EQ(direct.stateDigest(), cycled.stateDigest());
+}
+
+/**
+ * The sampler's checkpoint pass against the plain reference it
+ * replaces: at every chunk start of a full-prefix plan, the pass's
+ * state digest-matches a cold state given one warm() over [0,
+ * begin). warm() starts every call with a fresh IL1 line, so a
+ * stream broken mid-line fetches once more than one long call;
+ * FASTA34 and BLAST spend most of their instructions in runs on a
+ * single line, so their chunk starts land mid-line and pin that
+ * the pass's split calls leave the instruction side unperturbed.
+ */
+TEST(SampleCheckpoint, PassStatesEqualColdPrefixWarm)
+{
+    const sim::SimConfig cfg = testMachine(sim::memoryMe1());
+    for (const kernels::Workload w :
+         {kernels::Workload::Fasta34, kernels::Workload::Blast,
+          kernels::Workload::SwVmx128}) {
+        const trace::Trace &tr = sampleSuite().trace(w);
+        const sim::SampleConfig sample = fullPrefixSample(tr, 8);
+        const std::vector<std::uint64_t> starts = chunkStarts(
+            sim::planWindows(tr.size(), sample), sample);
+        ASSERT_GT(starts.size(), 2u);
+        const auto line = [&](std::uint64_t i) {
+            return tr[i].byteAddress()
+                / static_cast<unsigned>(cfg.memory.il1.lineBytes);
+        };
+        const bool midLine = std::any_of(
+            starts.begin() + 1, starts.end(), [&](std::uint64_t b) {
+                return line(b - 1) == line(b);
+            });
+        EXPECT_TRUE(midLine || w == kernels::Workload::SwVmx128)
+            << kernels::workloadName(w);
+
+        std::vector<std::size_t> seen;
+        const std::uint64_t warmed = sim::warmCheckpoints(
+            tr, cfg, starts,
+            [&](std::size_t k, sim::MachineState state) {
+                sim::MachineState cold(cfg);
+                cold.warm(tr.subspan(0, starts[k]));
+                EXPECT_EQ(state.stateDigest(), cold.stateDigest())
+                    << kernels::workloadName(w) << " chunk " << k;
+                seen.push_back(k);
+            });
+        EXPECT_EQ(warmed, starts.back());
+        ASSERT_EQ(seen.size(), starts.size());
+        for (std::size_t k = 0; k < seen.size(); ++k)
+            EXPECT_EQ(seen[k], k);
+    }
+}
+
+/**
+ * Every window measured from the pass's checkpoints equals the same
+ * window measured after cold prefix warming (planWindows + warm +
+ * runWindow, chunk by chunk), and sampleTrace's merge of them
+ * equals the reference's at any jobs count.
+ */
+TEST(SampleCheckpoint, WindowsMatchColdPrefixReference)
+{
+    const trace::Trace &tr =
+        sampleSuite().trace(kernels::Workload::Blast);
+    const sim::SimConfig cfg = testMachine(sim::memoryMe1());
+    sim::SampleConfig sample = fullPrefixSample(tr, 8);
+    const std::vector<sim::SampleWindow> windows =
+        sim::planWindows(tr.size(), sample);
+    const std::vector<std::uint64_t> starts =
+        chunkStarts(windows, sample);
+    const std::size_t chunk = sample.chunkWindows;
+
+    // Windows of chunk @p c measured from @p state, warm up to the
+    // chunk's first window.
+    sim::Simulator sim(cfg);
+    const auto measure = [&](std::size_t c, sim::MachineState &state,
+                             std::vector<sim::SimStats> &out) {
+        const std::size_t last =
+            std::min((c + 1) * chunk, windows.size());
+        for (std::size_t i = c * chunk; i < last; ++i) {
+            const sim::SampleWindow &win = windows[i];
+            out[i] = sim.runWindow(tr.subspan(win.begin, win.count),
+                                   state);
+            if (i + 1 < last) {
+                const std::uint64_t gap = win.begin + win.count;
+                state.warm(
+                    tr.subspan(gap, windows[i + 1].begin - gap));
+            }
+        }
+    };
+    std::vector<sim::SimStats> reference(windows.size());
+    for (std::size_t c = 0; c < starts.size(); ++c) {
+        sim::MachineState state(cfg);
+        state.warm(tr.subspan(0, starts[c]));
+        measure(c, state, reference);
+    }
+    std::vector<sim::SimStats> resumed(windows.size());
+    sim::warmCheckpoints(tr, cfg, starts,
+                         [&](std::size_t c, sim::MachineState state) {
+                             measure(c, state, resumed);
+                         });
+    for (std::size_t i = 0; i < windows.size(); ++i)
+        EXPECT_EQ(resumed[i], reference[i]) << "window " << i;
+
+    sim::SimStats merged;
+    double cycles = 0.0;
+    for (std::size_t i = 0; i < windows.size(); ++i) {
+        merged.accumulate(reference[i]);
+        cycles += static_cast<double>(reference[i].cycles)
+            * (static_cast<double>(windows[i].represents)
+               / static_cast<double>(windows[i].count));
+    }
+    for (const unsigned jobs : {1u, 4u}) {
+        sample.jobs = jobs;
+        const sim::SampledStats sampled =
+            sim::sampleTrace(tr, cfg, sample);
+        EXPECT_EQ(sampled.measured, merged) << jobs << " jobs";
+        EXPECT_EQ(sampled.estimatedCycles, cycles) << jobs << " jobs";
+    }
+}
+
+/**
+ * The work bound: a full-prefix plan warms about one trace plus its
+ * gaps whatever its chunk count. Re-warming every chunk's prefix
+ * from cold costs ~chunks/2 traces (4x at 8-window chunks, 25x at
+ * 1-window chunks) and fails this count on any host.
+ */
+TEST(SampleCheckpoint, FullPrefixWarmingIsBoundedByTheTrace)
+{
+    const sim::SimConfig cfg = testMachine(sim::memoryMe4());
+    for (const kernels::Workload w : kernels::allWorkloads) {
+        const trace::Trace &tr = sampleSuite().trace(w);
+        for (const std::uint64_t chunkWindows : {1u, 8u}) {
+            const sim::SampledStats s = sim::sampleTrace(
+                tr, cfg, fullPrefixSample(tr, chunkWindows));
+            EXPECT_LE(s.warmupInstructions, 2 * tr.size())
+                << kernels::workloadName(w) << " chunkWindows "
+                << chunkWindows;
+            EXPECT_GE(s.warmupInstructions
+                          + s.measuredInstructions,
+                      tr.size())
+                << kernels::workloadName(w);
+        }
+    }
 }
 
 /** The digest must see every component of the machine state. */
