@@ -27,7 +27,6 @@
 #include "align/ssearch.hh"
 #include "align/sw_simd.hh"
 #include "align/sw_intersequence_native.hh"
-#include "align/sw_striped.hh"
 #include "align/sw_striped_native.hh"
 #include "bench_common.hh"
 #include "bio/scoring.hh"
@@ -119,29 +118,6 @@ BM_SwSimdScan(benchmark::State &state)
 }
 BENCHMARK(BM_SwSimdScan<8>)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SwSimdScan<16>)->Unit(benchmark::kMillisecond);
-
-template <int N>
-void
-BM_SwStripedScan(benchmark::State &state)
-{
-    const align::StripedProfile<N> profile(query(), kMat);
-    std::uint64_t residues = 0;
-    for (auto _ : state) {
-        int best = 0;
-        for (const bio::Sequence &s : database()) {
-            best = std::max(
-                best,
-                align::swStripedScan<N>(profile, s, kGaps).score);
-            residues += s.length();
-        }
-        benchmark::DoNotOptimize(best);
-    }
-    state.counters["Mcells/s"] = benchmark::Counter(
-        static_cast<double>(residues * query().length()) / 1e6,
-        benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_SwStripedScan<8>)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SwStripedScan<16>)->Unit(benchmark::kMillisecond);
 
 void
 BM_FastaSearch(benchmark::State &state)

@@ -2,10 +2,12 @@
  * @file
  * Header-only banded Smith-Waterman engine with a per-cell hook.
  *
- * The hook lets instrumented kernel twins (src/kernels) emit one
- * trace-instruction pattern per DP cell while computing exactly the
- * same scores as align::bandedSmithWaterman — which is itself this
- * template instantiated with a no-op hook.
+ * The hook lets the FASTA opt stage and the BLAST/blastn gapped
+ * stages forward each DP cell to their trace policy (so the traced
+ * kernels in src/kernels emit one instruction pattern per cell)
+ * while computing exactly the same scores as
+ * align::bandedSmithWaterman — which is itself this template
+ * instantiated with a no-op hook.
  */
 
 #ifndef BIOARCH_ALIGN_BANDED_IMPL_HH

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 
-#include "banded.hh"
+#include "blast_impl.hh"
 #include "karlin.hh"
 #include "traceback/banded_extend.hh"
-#include "xdrop.hh"
 
 namespace bioarch::align
 {
@@ -131,31 +130,9 @@ ungappedExtend(const bio::Sequence &query, const bio::Sequence &subject,
                const bio::ScoringMatrix &matrix, int qpos, int spos,
                int seed_len, int x_drop)
 {
-    UngappedExtension out;
-    const int m = static_cast<int>(query.length());
-    const int n = static_cast<int>(subject.length());
-
-    int seed = 0;
-    for (int k = 0; k < seed_len; ++k)
-        seed += matrix.score(query[qpos + k], subject[spos + k]);
-
-    // Right extension from the end of the seed, then left extension
-    // from its start, both via the shared x-drop run scorer.
-    const XdropRun right = xdropRun(
-        std::min(m - qpos, n - spos) - seed_len, x_drop, [&](int k) {
-            return matrix.score(query[qpos + seed_len + k],
-                                subject[spos + seed_len + k]);
-        });
-    const XdropRun left =
-        xdropRun(std::min(qpos, spos), x_drop, [&](int k) {
-            return matrix.score(query[qpos - 1 - k],
-                                subject[spos - 1 - k]);
-        });
-
-    out.score = seed + right.best + left.best;
-    out.queryStart = qpos - left.len;
-    out.queryEnd = qpos + seed_len - 1 + right.len;
-    return out;
+    BlastNoTrace none;
+    return ungappedExtend(query, subject, matrix, qpos, spos, seed_len,
+                          x_drop, none);
 }
 
 GappedWindow
@@ -172,113 +149,13 @@ gappedWindow(const UngappedExtension &ext, int diag, int query_len,
     return w;
 }
 
-namespace
-{
-
-/** Extract [lo, hi] of a sequence (for windowed gapped extension). */
-bio::Sequence
-window(const bio::Sequence &seq, int lo, int hi)
-{
-    const auto &res = seq.residues();
-    return bio::Sequence(
-        seq.id(), "window",
-        std::vector<bio::Residue>(
-            res.begin() + lo, res.begin() + hi + 1));
-}
-
-/** The word scan + ungapped stage, up to (but not including) the
- * gapped extension: counters plus the best HSP and its diagonal.
- * blastScan and blastAlign share this so the alignment a hit
- * reports is derived from exactly the HSP its score came from. */
-struct HspScan
-{
-    BlastScores scores;       ///< gapped fields still zero
-    int bestDiag = 0;
-    UngappedExtension bestExt;
-};
-
-HspScan
-hspScan(const NeighborhoodIndex &index, const bio::Sequence &query,
-        const bio::Sequence &subject, const bio::ScoringMatrix &matrix,
-        const BlastParams &params, std::uint64_t *cells)
-{
-    HspScan hsp;
-    BlastScores &out = hsp.scores;
-    const int m = static_cast<int>(query.length());
-    const int n = static_cast<int>(subject.length());
-    const int w = index.wordSize();
-    if (m < w || n < w)
-        return hsp;
-
-    // Per-diagonal state: subject position of the last unextended
-    // hit, and the subject position up to which the diagonal has
-    // already been covered by an extension (suppresses re-triggering
-    // inside an extended region, as NCBI BLAST's diag array does).
-    const int num_diags = m + n - 1;
-    const int diag_offset = m - 1;
-    struct DiagState
-    {
-        std::int32_t lastHit = -1000000;
-        std::int32_t extendedTo = -1;
-    };
-    std::vector<DiagState> diag(static_cast<std::size_t>(num_diags));
-
-    // Best ungapped HSP seen during the scan; the (single) gapped
-    // extension runs around its diagonal after the scan, mirroring
-    // how NCBI BLAST gap-extends the preliminary HSP list rather
-    // than every triggering seed.
-    const auto *sres = subject.residues().data();
-
-    for (int j = 0; j + w <= n; ++j) {
-        const std::uint32_t word = index.encode(sres + j);
-        const auto [begin, end] = index.positions(word);
-        if (cells)
-            *cells += 1;
-        for (const std::int32_t *p = begin; p != end; ++p) {
-            const int i = *p;
-            const int d = j - i + diag_offset;
-            DiagState &ds = diag[static_cast<std::size_t>(d)];
-            ++out.wordHits;
-            if (j <= ds.extendedTo)
-                continue; // inside an already-extended region
-
-            bool trigger;
-            if (params.twoHit) {
-                const int dist = j - ds.lastHit;
-                if (dist < w) {
-                    // Overlapping the previous hit: neither triggers
-                    // nor replaces it (otherwise runs of consecutive
-                    // hits — e.g. a perfect match — would never put
-                    // two non-overlapping hits in the window).
-                    continue;
-                }
-                trigger = dist <= params.twoHitWindow;
-            } else {
-                trigger = true;
-            }
-            ds.lastHit = j;
-            if (!trigger)
-                continue;
-
-            ++out.extensionsTried;
-            const UngappedExtension ext =
-                ungappedExtend(query, subject, matrix, i, j, w,
-                               params.xDropUngapped);
-            if (cells)
-                *cells += static_cast<std::uint64_t>(
-                    ext.queryEnd - ext.queryStart + 1);
-            ds.extendedTo = ext.queryEnd + (j - i);
-            if (ext.score > out.bestUngapped) {
-                out.bestUngapped = ext.score;
-                hsp.bestDiag = j - i;
-                hsp.bestExt = ext;
-            }
-        }
-    }
-    return hsp;
-}
-
-} // namespace
+template BlastScores blastScan(const NeighborhoodIndex &,
+                               const bio::Sequence &,
+                               const bio::Sequence &,
+                               const bio::ScoringMatrix &,
+                               const bio::GapPenalties &,
+                               const BlastParams &, std::uint64_t *,
+                               BlastNoTrace &);
 
 BlastScores
 blastScan(const NeighborhoodIndex &index, const bio::Sequence &query,
@@ -286,38 +163,9 @@ blastScan(const NeighborhoodIndex &index, const bio::Sequence &query,
           const bio::GapPenalties &gaps, const BlastParams &params,
           std::uint64_t *cells)
 {
-    const int m = static_cast<int>(query.length());
-    const int n = static_cast<int>(subject.length());
-    const HspScan hsp =
-        hspScan(index, query, subject, matrix, params, cells);
-    BlastScores out = hsp.scores;
-    if (m < index.wordSize() || n < index.wordSize())
-        return out;
-
-    if (out.bestUngapped >= params.gapTrigger) {
-        ++out.gappedExtensions;
-        // The gapped stage explores a window around the HSP, not
-        // the whole subject (the real gapped extension's X-drop
-        // keeps it local).
-        const GappedWindow win =
-            gappedWindow(hsp.bestExt, hsp.bestDiag, m, n,
-                         params.gappedWindowMargin);
-        const bio::Sequence qw =
-            window(query, win.queryLo, win.queryHi);
-        const bio::Sequence sw =
-            window(subject, win.subjectLo, win.subjectHi);
-        const LocalScore gapped =
-            bandedSmithWaterman(qw, sw, matrix, gaps, win.center,
-                                params.bandHalfWidth);
-        if (cells) {
-            *cells += static_cast<std::uint64_t>(
-                          2 * params.bandHalfWidth + 1)
-                * static_cast<std::uint64_t>(
-                          win.subjectHi - win.subjectLo + 1);
-        }
-        out.score = std::max(gapped.score, 0);
-    }
-    return out;
+    BlastNoTrace none;
+    return blastScan(index, query, subject, matrix, gaps, params, cells,
+                     none);
 }
 
 CigarAlignment
@@ -330,8 +178,9 @@ blastAlign(const NeighborhoodIndex &index, const bio::Sequence &query,
 {
     const int m = static_cast<int>(query.length());
     const int n = static_cast<int>(subject.length());
-    const HspScan hsp =
-        hspScan(index, query, subject, matrix, params, cells);
+    BlastNoTrace none;
+    const detail::HspScan hsp = detail::hspScan(
+        index, query, subject, matrix, params, cells, none);
 
     CigarAlignment out;
     if (m < index.wordSize() || n < index.wordSize()
@@ -344,9 +193,10 @@ blastAlign(const NeighborhoodIndex &index, const bio::Sequence &query,
     const GappedWindow win =
         gappedWindow(hsp.bestExt, hsp.bestDiag, m, n,
                      params.gappedWindowMargin);
-    const bio::Sequence qw = window(query, win.queryLo, win.queryHi);
+    const bio::Sequence qw =
+        detail::window(query, win.queryLo, win.queryHi);
     const bio::Sequence sw =
-        window(subject, win.subjectLo, win.subjectHi);
+        detail::window(subject, win.subjectLo, win.subjectHi);
     out = bandedExtendAlign(qw, sw, matrix, gaps, win.center,
                             params.bandHalfWidth, x_drop_gapped,
                             stats);

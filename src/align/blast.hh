@@ -135,8 +135,8 @@ UngappedExtension ungappedExtend(const bio::Sequence &query,
 
 /**
  * The sub-matrix a gapped extension explores: the HSP extent plus
- * margin, clipped to the sequences. Shared between the library scan
- * and the instrumented kernel twin so both run the identical gapped
+ * margin, clipped to the sequences. Shared between the score-only
+ * scan and blastAlign/blastnAlign so both run the identical gapped
  * stage.
  */
 struct GappedWindow

@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "banded_impl.hh"
-#include "bio/scoring.hh"
-#include "blast.hh"
+#include "blastn_impl.hh"
 #include "traceback/banded_extend.hh"
-#include "xdrop.hh"
 
 namespace bioarch::align
 {
@@ -44,18 +41,6 @@ dnaLambda(int match, int mismatch)
         (f(mid) < 0.0 ? lo : hi) = mid;
     }
     return 0.5 * (lo + hi);
-}
-
-/** Decode packed DNA into a Sequence over residues 0..3 (for the
- * banded gapped stage, which is alphabet-agnostic). */
-bio::Sequence
-decode(const bio::PackedDna &dna, std::size_t lo, std::size_t hi)
-{
-    std::vector<bio::Residue> out;
-    out.reserve(hi - lo + 1);
-    for (std::size_t i = lo; i <= hi; ++i)
-        out.push_back(static_cast<bio::Residue>(dna[i]));
-    return bio::Sequence(dna.id(), "window", std::move(out));
 }
 
 } // namespace
@@ -95,136 +80,6 @@ DnaWordIndex::DnaWordIndex(const bio::PackedDna &query, int word_size)
 namespace
 {
 
-/** Counters plus the best ungapped HSP of one blastn word scan
- * (the gapped stage runs afterwards, in the caller). */
-struct HspScanN
-{
-    BlastnScores scores;
-    int bestDiag = 0;
-    UngappedExtension bestExt;
-};
-
-/**
- * The word scan + ungapped x-drop stage, shared — via the
- * subject-base accessor @p sub — between the 2-bit packed subject
- * path and the residue-array path the serving tier scans
- * (identical arithmetic, bit-identical HSPs).
- */
-template <typename SubjectAt>
-HspScanN
-hspScanN(const DnaWordIndex &index, const bio::PackedDna &query,
-         SubjectAt &&sub, int n, const BlastnParams &params,
-         std::uint64_t *cells)
-{
-    HspScanN hsp;
-    BlastnScores &out = hsp.scores;
-    const int m = static_cast<int>(query.length());
-    const int w = index.wordSize();
-    if (m < w || n < w)
-        return hsp;
-
-    const int num_diags = m + n - 1;
-    const int diag_offset = m - 1;
-    std::vector<std::int32_t> extended_to(
-        static_cast<std::size_t>(num_diags), -1);
-
-    const std::uint32_t mask = static_cast<std::uint32_t>(
-        (std::size_t{1} << (2 * w)) - 1);
-    std::uint32_t word = 0;
-    for (int j = 0; j < n; ++j) {
-        word = ((word << 2) | sub(j)) & mask;
-        if (j + 1 < w)
-            continue;
-        const int start = j + 1 - w;
-        const auto [begin, end] = index.positions(word);
-        if (cells)
-            ++*cells;
-        for (const std::int32_t *p = begin; p != end; ++p) {
-            const int i = *p;
-            const int d = start - i + diag_offset;
-            ++out.wordHits;
-            if (start <= extended_to[static_cast<std::size_t>(d)])
-                continue;
-
-            // One-hit seeding: extend immediately (classic
-            // blastn), unpacking base by base (the
-            // READDB_UNPACK_BASE pattern).
-            ++out.extensionsTried;
-            const int seed = params.matchScore * w;
-            const auto count_step = [&](int) {
-                if (cells)
-                    ++*cells;
-            };
-            const XdropRun right = xdropRun(
-                std::min(m - i, n - start) - w,
-                params.xDropUngapped,
-                [&](int k) {
-                    return query[static_cast<std::size_t>(i + w
-                                                          + k)]
-                            == sub(start + w + k)
-                        ? params.matchScore
-                        : params.mismatchScore;
-                },
-                count_step);
-            const XdropRun left = xdropRun(
-                std::min(i, start), params.xDropUngapped,
-                [&](int k) {
-                    return query[static_cast<std::size_t>(i - 1
-                                                          - k)]
-                            == sub(start - 1 - k)
-                        ? params.matchScore
-                        : params.mismatchScore;
-                },
-                count_step);
-
-            const int score = seed + right.best + left.best;
-            extended_to[static_cast<std::size_t>(d)] =
-                start + w - 1 + right.len;
-            if (score > out.bestUngapped) {
-                out.bestUngapped = score;
-                hsp.bestDiag = start - i;
-                hsp.bestExt.score = score;
-                hsp.bestExt.queryStart = i - left.len;
-                hsp.bestExt.queryEnd = i + w - 1 + right.len;
-            }
-        }
-    }
-    return hsp;
-}
-
-/** The gapped window of the best HSP (empty() when none fires). */
-GappedWindow
-gappedWindowN(const HspScanN &hsp, int m, int n,
-              const BlastnParams &params)
-{
-    if (hsp.scores.bestUngapped < params.gapTrigger)
-        return GappedWindow{};
-    return gappedWindow(hsp.bestExt, hsp.bestDiag, m, n,
-                        params.gappedWindowMargin);
-}
-
-/** Score-only gapped stage shared by both blastnScan overloads. */
-void
-gappedStageN(const GappedWindow &win, const bio::Sequence &qw,
-             const bio::Sequence &sw, const BlastnParams &params,
-             BlastnScores &out, std::uint64_t *cells)
-{
-    ++out.gappedExtensions;
-    const bio::ScoringMatrix mm = bio::makeMatchMismatch(
-        params.matchScore, params.mismatchScore);
-    const bio::GapPenalties gaps{params.gapOpen, params.gapExtend};
-    const LocalScore gapped = bandedSmithWatermanScan(
-        qw, sw, mm, gaps, win.center, params.bandHalfWidth,
-        [](int, int, int, int, int) {});
-    if (cells) {
-        *cells += static_cast<std::uint64_t>(
-                      2 * params.bandHalfWidth + 1)
-            * static_cast<std::uint64_t>(win.subjectHi
-                                         - win.subjectLo + 1);
-    }
-    out.score = std::max(gapped.score, 0);
-}
-
 /** Window of a residue-array subject (bases stored as residues). */
 bio::Sequence
 residueWindow(const bio::Residue *subject, int lo, int hi)
@@ -236,29 +91,19 @@ residueWindow(const bio::Residue *subject, int lo, int hi)
 
 } // namespace
 
+template BlastnScores blastnScan(const DnaWordIndex &,
+                                 const bio::PackedDna &,
+                                 const bio::PackedDna &,
+                                 const BlastnParams &, std::uint64_t *,
+                                 BlastnNoTrace &);
+
 BlastnScores
 blastnScan(const DnaWordIndex &index, const bio::PackedDna &query,
            const bio::PackedDna &subject, const BlastnParams &params,
            std::uint64_t *cells)
 {
-    const int m = static_cast<int>(query.length());
-    const int n = static_cast<int>(subject.length());
-    const HspScanN hsp = hspScanN(
-        index, query,
-        [&](int k) { return subject[static_cast<std::size_t>(k)]; },
-        n, params, cells);
-    BlastnScores out = hsp.scores;
-    const GappedWindow win = gappedWindowN(hsp, m, n, params);
-    if (!win.empty()) {
-        const bio::Sequence qw = decode(
-            query, static_cast<std::size_t>(win.queryLo),
-            static_cast<std::size_t>(win.queryHi));
-        const bio::Sequence sw = decode(
-            subject, static_cast<std::size_t>(win.subjectLo),
-            static_cast<std::size_t>(win.subjectHi));
-        gappedStageN(win, qw, sw, params, out, cells);
-    }
-    return out;
+    BlastnNoTrace none;
+    return blastnScan(index, query, subject, params, cells, none);
 }
 
 BlastnScores
@@ -266,23 +111,12 @@ blastnScan(const DnaWordIndex &index, const bio::PackedDna &query,
            const bio::Residue *subject, std::size_t subject_len,
            const BlastnParams &params, std::uint64_t *cells)
 {
-    const int m = static_cast<int>(query.length());
-    const int n = static_cast<int>(subject_len);
-    const HspScanN hsp = hspScanN(
+    BlastnNoTrace none;
+    return detail::blastnScan(
         index, query,
-        [&](int k) { return static_cast<unsigned>(subject[k]); }, n,
-        params, cells);
-    BlastnScores out = hsp.scores;
-    const GappedWindow win = gappedWindowN(hsp, m, n, params);
-    if (!win.empty()) {
-        const bio::Sequence qw = decode(
-            query, static_cast<std::size_t>(win.queryLo),
-            static_cast<std::size_t>(win.queryHi));
-        const bio::Sequence sw =
-            residueWindow(subject, win.subjectLo, win.subjectHi);
-        gappedStageN(win, qw, sw, params, out, cells);
-    }
-    return out;
+        [&](int k) { return static_cast<unsigned>(subject[k]); },
+        [&](int lo, int hi) { return residueWindow(subject, lo, hi); },
+        static_cast<int>(subject_len), params, cells, none);
 }
 
 CigarAlignment
@@ -293,21 +127,21 @@ blastnAlign(const DnaWordIndex &index, const bio::PackedDna &query,
 {
     const int m = static_cast<int>(query.length());
     const int n = static_cast<int>(subject_len);
-    const HspScanN hsp = hspScanN(
+    BlastnNoTrace none;
+    const detail::HspScanN hsp = detail::hspScanN(
         index, query,
         [&](int k) { return static_cast<unsigned>(subject[k]); }, n,
-        params, cells);
+        params, cells, none);
 
     CigarAlignment out;
-    const GappedWindow win = gappedWindowN(hsp, m, n, params);
+    const GappedWindow win = detail::gappedWindowN(hsp, m, n, params);
     if (win.empty())
         return out;
     // Same window, band and scoring as the score-only gapped
     // stage; a disabled X-drop keeps the traced score
     // bit-identical to blastnScan's.
     const bio::Sequence qw =
-        decode(query, static_cast<std::size_t>(win.queryLo),
-               static_cast<std::size_t>(win.queryHi));
+        detail::decode(query, win.queryLo, win.queryHi);
     const bio::Sequence sw =
         residueWindow(subject, win.subjectLo, win.subjectHi);
     const bio::ScoringMatrix mm = bio::makeMatchMismatch(

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "banded.hh"
+#include "fasta_impl.hh"
 #include "karlin.hh"
 
 namespace bioarch::align
@@ -51,41 +51,12 @@ KtupIndex::KtupIndex(const bio::Sequence &query, int ktup)
     }
 }
 
-namespace
-{
-
-/**
- * Rescore a diagonal run with the substitution matrix: best
- * contiguous sub-segment (Kadane) over the aligned residue pairs of
- * diagonal @p diag between query rows [lo, hi].
- */
-FastaRegion
-rescoreRun(const bio::Sequence &query, const bio::Sequence &subject,
-           const bio::ScoringMatrix &matrix, int diag, int lo, int hi)
-{
-    FastaRegion out;
-    out.diag = diag;
-    int run = 0;
-    int run_start = lo;
-    for (int i = lo; i <= hi; ++i) {
-        const int j = i + diag;
-        const int s = matrix.score(query[i], subject[j]);
-        if (run <= 0) {
-            run = s;
-            run_start = i;
-        } else {
-            run += s;
-        }
-        if (run > out.score) {
-            out.score = run;
-            out.queryStart = run_start;
-            out.queryEnd = i;
-        }
-    }
-    return out;
-}
-
-} // namespace
+template FastaScores fastaScan(const KtupIndex &, const bio::Sequence &,
+                               const bio::Sequence &,
+                               const bio::ScoringMatrix &,
+                               const bio::GapPenalties &,
+                               const FastaParams &, std::uint64_t *,
+                               FastaNoTrace &);
 
 FastaScores
 fastaScan(const KtupIndex &index, const bio::Sequence &query,
@@ -93,143 +64,9 @@ fastaScan(const KtupIndex &index, const bio::Sequence &query,
           const bio::GapPenalties &gaps, const FastaParams &params,
           std::uint64_t *cells)
 {
-    FastaScores out;
-    const int m = static_cast<int>(query.length());
-    const int n = static_cast<int>(subject.length());
-    const int ktup = index.ktup();
-    if (m < ktup || n < ktup)
-        return out;
-
-    // Stage 2: diagonal hit accumulation. For each diagonal we track
-    // the last hit and a running hit-count score; a gap between hits
-    // on the same diagonal pays a distance penalty, and when the
-    // running score goes negative the run is flushed as a candidate
-    // region (the "savemax" of fasta's dropff.c).
-    const int num_diags = m + n - 1;
-    const int diag_offset = m - 1; // diag d=j-i maps to d+offset >= 0
-    struct DiagState
-    {
-        std::int32_t lastQueryPos = -1000000;
-        std::int32_t runStart = 0;
-        std::int32_t runScore = 0;
-        std::int32_t bestScore = 0;
-        std::int32_t bestStart = 0;
-        std::int32_t bestEnd = 0;
-    };
-    std::vector<DiagState> diags(static_cast<std::size_t>(num_diags));
-
-    const int hit_bonus = 4 * ktup; // nominal score per word hit
-    const auto *sres = subject.residues().data();
-
-    for (int j = 0; j + ktup <= n; ++j) {
-        const std::uint32_t w = index.encode(sres + j);
-        const auto [begin, end] = index.positions(w);
-        for (const std::int32_t *p = begin; p != end; ++p) {
-            const int i = *p;
-            const int d = j - i + diag_offset;
-            DiagState &ds = diags[static_cast<std::size_t>(d)];
-            const int gap = i - ds.lastQueryPos - ktup;
-            if (gap < 0) {
-                // Overlapping word; extends the run with no penalty.
-                ds.runScore += hit_bonus + 2 * gap;
-            } else if (ds.runScore - gap > 0) {
-                ds.runScore += hit_bonus - gap;
-            } else {
-                ds.runScore = hit_bonus;
-                ds.runStart = i;
-            }
-            ds.lastQueryPos = i;
-            if (ds.runScore > ds.bestScore) {
-                ds.bestScore = ds.runScore;
-                ds.bestStart = ds.runStart;
-                ds.bestEnd = i + ktup - 1;
-            }
-        }
-        if (cells)
-            *cells += static_cast<std::uint64_t>(end - begin) + 1;
-    }
-
-    // Collect the best regions across diagonals.
-    std::vector<FastaRegion> candidates;
-    for (int d = 0; d < num_diags; ++d) {
-        const DiagState &ds = diags[static_cast<std::size_t>(d)];
-        if (ds.bestScore <= 0)
-            continue;
-        FastaRegion r;
-        r.diag = d - diag_offset;
-        r.queryStart = ds.bestStart;
-        r.queryEnd = ds.bestEnd;
-        r.score = ds.bestScore;
-        candidates.push_back(r);
-    }
-    std::sort(candidates.begin(), candidates.end(),
-              [](const FastaRegion &a, const FastaRegion &b) {
-                  return a.score > b.score;
-              });
-    if (static_cast<int>(candidates.size()) > params.maxRegions)
-        candidates.resize(static_cast<std::size_t>(params.maxRegions));
-
-    // Stage 3: matrix rescoring of each region (init1).
-    for (FastaRegion &r : candidates) {
-        r = rescoreRun(query, subject, matrix, r.diag,
-                       std::max(0, r.queryStart),
-                       std::min({r.queryEnd, m - 1,
-                                 n - 1 - r.diag}));
-        if (cells)
-            *cells += static_cast<std::uint64_t>(
-                r.queryEnd - r.queryStart + 1);
-    }
-    std::sort(candidates.begin(), candidates.end(),
-              [](const FastaRegion &a, const FastaRegion &b) {
-                  return a.score > b.score;
-              });
-    while (!candidates.empty() && candidates.back().score <= 0)
-        candidates.pop_back();
-    out.regions = candidates;
-    if (candidates.empty())
-        return out;
-    out.init1 = candidates.front().score;
-
-    // Stage 4: join regions (initn). Greedy chain in query order:
-    // regions must not overlap in query rows; each join pays the
-    // fixed gap penalty.
-    std::vector<FastaRegion> byQuery = candidates;
-    std::sort(byQuery.begin(), byQuery.end(),
-              [](const FastaRegion &a, const FastaRegion &b) {
-                  return a.queryStart < b.queryStart;
-              });
-    int chain = 0;
-    int chain_end = -1;
-    int chain_diag_end = -1000000;
-    for (const FastaRegion &r : byQuery) {
-        const int subj_start = r.queryStart + r.diag;
-        if (r.queryStart > chain_end && subj_start > chain_diag_end) {
-            const int joined =
-                chain > 0 ? chain + r.score - params.joinGapPenalty
-                          : r.score;
-            chain = std::max(joined, r.score);
-        } else {
-            chain = std::max(chain, r.score);
-        }
-        chain_end = std::max(chain_end, r.queryEnd);
-        chain_diag_end =
-            std::max(chain_diag_end, r.queryEnd + r.diag);
-    }
-    out.initn = std::max(chain, out.init1);
-
-    // Stage 5: banded optimization around the best region (opt).
-    if (out.initn >= params.optThreshold) {
-        const LocalScore banded = bandedSmithWaterman(
-            query, subject, matrix, gaps, candidates.front().diag,
-            params.bandHalfWidth);
-        out.opt = banded.score;
-        if (cells) {
-            *cells += static_cast<std::uint64_t>(
-                          2 * params.bandHalfWidth + 1)
-                * static_cast<std::uint64_t>(n);
-        }
-    }
-    return out;
+    FastaNoTrace none;
+    return fastaScan(index, query, subject, matrix, gaps, params, cells,
+                     none);
 }
 
 SearchResults

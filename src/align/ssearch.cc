@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "karlin.hh"
+#include "ssearch_impl.hh"
 
 namespace bioarch::align
 {
@@ -24,72 +25,17 @@ QueryProfile::QueryProfile(const bio::Sequence &query,
     }
 }
 
+template LocalScore ssearchScan(const QueryProfile &,
+                                const bio::Sequence &,
+                                const bio::GapPenalties &,
+                                std::uint64_t *, SsearchNoTrace &);
+
 LocalScore
 ssearchScan(const QueryProfile &profile, const bio::Sequence &subject,
             const bio::GapPenalties &gaps, std::uint64_t *cells)
 {
-    const int m = profile.queryLength();
-    const int n = static_cast<int>(subject.length());
-    const int ngap_init = gaps.openCost(); // open + first extend
-    const int gap_ext = gaps.extendCost();
-
-    LocalScore best;
-    if (m == 0 || n == 0)
-        return best;
-
-    // The ss[] array of dropgsw.c: one {H, E} pair per query
-    // position, reused across subject positions.
-    struct Cell { int h; int e; };
-    std::vector<Cell> ss(static_cast<std::size_t>(m), Cell{0, 0});
-
-    for (int j = 0; j < n; ++j) {
-        const std::int16_t *pwaa = profile.row(subject[j]);
-        // p carries H[i-1][j-1] down the column; f carries F[i][j].
-        int p = 0;
-        int f = 0;
-        for (int i = 0; i < m; ++i) {
-            Cell &ssj = ss[static_cast<std::size_t>(i)];
-            // h = H[i-1][j-1] + score (the `h = p + *pwaa++`).
-            int h = p + pwaa[i];
-            p = ssj.h;
-
-            // F update (gap in subject, vertical). Written with the
-            // same avoidance structure as E below.
-            int e = ssj.e;
-            if (f > 0) {
-                if (h < f)
-                    h = f;
-                f -= gap_ext;
-            }
-            // E update (gap in query, horizontal).
-            if (e > 0) {
-                if (h < e)
-                    h = e;
-                e -= gap_ext;
-            }
-            if (h > 0) {
-                if (h > best.score) {
-                    best.score = h;
-                    best.queryEnd = i;
-                    best.subjectEnd = j;
-                }
-                const int open = h - ngap_init;
-                if (open > e)
-                    e = open;
-                if (open > f)
-                    f = open;
-                ssj.h = h;
-            } else {
-                ssj.h = 0;
-            }
-            ssj.e = e > 0 ? e : 0;
-            if (f < 0)
-                f = 0;
-        }
-        if (cells)
-            *cells += static_cast<std::uint64_t>(m);
-    }
-    return best;
+    SsearchNoTrace none;
+    return ssearchScan(profile, subject, gaps, cells, none);
 }
 
 SearchResults

@@ -5,9 +5,9 @@
  * sw_striped_native.cc and sw_striped_avx2.cc — everything else
  * goes through the dispatching API in sw_striped_native.hh.
  *
- * The recurrence mirrors align/sw_striped.cc (the model-vector
- * striped kernel, already asserted bit-identical to the scalar
- * reference), with three differences:
+ * The recurrence is Farrar's striped Smith-Waterman (asserted
+ * bit-identical to the scalar reference by sw_native_test), with
+ * three refinements over the classic formulation:
  *
  *  - the lazy-F correction is deconstructed (Snytsar): a prefix
  *    scan folds every wrap's boundary-crossing gap flow into one

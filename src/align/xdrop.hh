@@ -29,36 +29,31 @@ struct XdropRun
  * than @p x_drop below the best.
  *
  * @param score_at callable: score of step k (k = 0..limit-1)
- * @param step_hook callable invoked after every non-terminating
- *        step (the nucleotide scan counts unpacked bases there)
+ * @param on_step callable invoked after every step as
+ *        on_step(k, improved, drop): whether the step raised the
+ *        best score, and whether it ends the run (the nucleotide
+ *        scan counts unpacked bases there, the traced kernels emit
+ *        the step's branches)
  */
-template <typename ScoreAt, typename StepHook>
+template <typename ScoreAt, typename OnStep>
 XdropRun
-xdropRun(int limit, int x_drop, ScoreAt &&score_at,
-         StepHook &&step_hook)
+xdropRun(int limit, int x_drop, ScoreAt &&score_at, OnStep &&on_step)
 {
     XdropRun out;
     int run = 0;
     for (int k = 0; k < limit; ++k) {
         run += score_at(k);
-        if (run > out.best) {
+        const bool improved = run > out.best;
+        if (improved) {
             out.best = run;
             out.len = k + 1;
         }
-        if (run < out.best - x_drop)
+        const bool drop = run < out.best - x_drop;
+        on_step(k, improved, drop);
+        if (drop)
             break;
-        step_hook(k);
     }
     return out;
-}
-
-/** xdropRun without a per-step hook. */
-template <typename ScoreAt>
-XdropRun
-xdropRun(int limit, int x_drop, ScoreAt &&score_at)
-{
-    return xdropRun(limit, x_drop,
-                    static_cast<ScoreAt &&>(score_at), [](int) {});
 }
 
 } // namespace bioarch::align

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 
-#include "align/banded_impl.hh"
-#include "align/blast.hh"
+#include "align/blast_impl.hh"
 #include "bio/scoring.hh"
 #include "trace/tracer.hh"
 
@@ -16,6 +15,186 @@ namespace
 using trace::Reg;
 using trace::Tracer;
 
+/**
+ * Memory image of the traced program. The neighborhood CSR heads
+ * array over the full word space (~55 KB for w=3 over 23 symbols)
+ * plus the position lists are BLAST's big, data-indexed working
+ * set.
+ */
+struct BlastImage
+{
+    isa::Addr heads;
+    isa::Addr pos;
+    isa::Addr diag;  ///< 8-byte two-hit record per diagonal
+    isa::Addr mat;
+    isa::Addr query;
+    isa::Addr rows;
+    isa::Addr db;
+};
+
+/** Trace policy of align::blastScan. */
+class BlastTrace
+{
+  public:
+    BlastTrace(Tracer &t, const BlastImage &img,
+               const align::NeighborhoodIndex &index)
+        : _t(t), _img(img), _positions(index.positions(0).first)
+    {
+    }
+
+    /** Per-sequence setup of a subject at @p seq_base with
+     * @p num_diags diagonals: clear the diagonal array. */
+    void
+    sequence(isa::Addr seq_base, int num_diags)
+    {
+        _seqBase = seq_base;
+        _dbPtr = _t.alu();
+        _diagBase = _t.alu();
+        for (int d = 0; d < num_diags; d += 16) {
+            _t.store(_img.diag + static_cast<isa::Addr>(d) * 8, 8,
+                     Reg{}, {_diagBase});
+            _t.branch(d + 16 < num_diags, {_diagBase});
+        }
+    }
+
+    void scan() { _word = _t.alu(); } // rolling packed word
+
+    void
+    word(int j, std::uint32_t word, bool hits)
+    {
+        // BlastWordFinder step: roll the next residue into the
+        // packed word (Listing 1's READDB_UNPACK shift games), then
+        // probe the lookup table.
+        Reg r_res = _t.load(_seqBase + static_cast<isa::Addr>(j), 1,
+                            {_dbPtr});
+        _word = _t.alu({_word, r_res}); // shift+or
+        Reg r_mask = _t.alu({_word});   // mask to word space
+        _head = _t.load(_img.heads + static_cast<isa::Addr>(word) * 4,
+                        4, {r_mask});
+        Reg r_tail = _t.load(
+            _img.heads + static_cast<isa::Addr>(word + 1) * 4, 4,
+            {r_mask});
+        // READDB_UNPACK-style dependent arithmetic on the loaded
+        // table entries (Listing 1): the serial integer chain behind
+        // each (possibly missing) load is what makes RG_FIX the top
+        // BLAST trauma.
+        Reg r_u1 = _t.alu({_head});
+        Reg r_u2 = _t.alu({r_u1, r_tail});
+        Reg r_cnt = _t.alu({r_u2});
+        _t.branch(hits, {r_cnt});
+    }
+
+    void
+    hit(const std::int32_t *p, int d, bool covered)
+    {
+        // Load the query position and the diagonal record (both
+        // data-dependent addresses).
+        Reg r_qpos = _t.load(
+            _img.pos + static_cast<isa::Addr>(p - _positions) * 4, 4,
+            {_head});
+        _d = _t.alu({r_qpos});
+        _dsAddr = _img.diag + static_cast<isa::Addr>(d) * 8;
+        _state = _t.load(_dsAddr, 8, {_d});
+        _t.branch(covered, {_state});
+    }
+
+    void distance() { _dist = _t.alu({_state}); }
+
+    void overlap(bool overlaps) { _t.branch(overlaps, {_dist}); }
+
+    void
+    trigger(bool fires)
+    {
+        _t.store(_dsAddr, 4, _dist, {_d});
+        _t.branch(!fires, {_dist});
+    }
+
+    // ---- ungapped X-drop extension ------------------------------
+
+    void extend() { _run = _t.alu(); }
+
+    // The two directions are separate loops in the real code, so
+    // each keeps its own branch sites (static PCs); only the
+    // residue loads and lookup are shared.
+    void
+    extendRight(int qi, int sj, bool improved, bool drop)
+    {
+        extendStep(qi, sj);
+        _t.branch(improved, {_run});
+        _t.branch(drop, {_run});
+    }
+
+    void
+    extendLeft(int qi, int sj, bool improved, bool drop)
+    {
+        extendStep(qi, sj);
+        _t.branch(improved, {_run});
+        _t.branch(drop, {_run});
+    }
+
+    void
+    extended(bool improved, bool more)
+    {
+        _t.store(_dsAddr + 4, 4, _run, {_d});
+        _t.branch(improved, {_run});
+        _t.branch(more, {_head});
+    }
+
+    void wordEnd(bool more) { _t.branch(more, {_dbPtr}); } // scan loop
+
+    // ---- gapped extension of the best HSP -----------------------
+
+    void
+    gapped(bool fires)
+    {
+        Reg r_g = _t.alu();
+        _t.branch(fires, {r_g});
+        if (fires) {
+            _h = _t.alu();
+            _rowPtr = _t.alu();
+        }
+    }
+
+    void
+    gappedCell(int i, int h, int f)
+    {
+        const isa::Addr cell = _img.rows + static_cast<isa::Addr>(i) * 8;
+        Reg r_sc = _t.load(_img.mat, 1, {_rowPtr});
+        Reg r_he = _t.load(cell, 8, {_rowPtr});
+        Reg r_x1 = _t.alu({_h, r_sc});
+        Reg r_x2 = _t.alu({r_x1, r_he});
+        Reg r_x3 = _t.alu({r_x2});
+        _h = _t.alu({r_x3});
+        _t.branch(h > 0, {_h});
+        _t.branch(f > 0, {_h});
+        _t.store(cell, 8, _h, {_rowPtr});
+        _rowPtr = _t.alu({_rowPtr});
+    }
+
+  private:
+    /** One extension step, shared by both directions: residue
+     * loads, matrix lookup, accumulate. */
+    void
+    extendStep(int qi, int sj)
+    {
+        Reg r_q = _t.load(_img.query + static_cast<isa::Addr>(qi), 1, {});
+        Reg r_s = _t.load(_seqBase + static_cast<isa::Addr>(sj), 1, {});
+        Reg r_ma = _t.alu({r_q, r_s});
+        Reg r_sc = _t.load(_img.mat, 1, {r_ma});
+        _run = _t.alu({_run, r_sc});
+    }
+
+    Tracer &_t;
+    const BlastImage _img;
+    /** Start of the index's position lists (slot 0 of the image's
+     * positions array). */
+    const std::int32_t *const _positions;
+    isa::Addr _seqBase = 0;
+    isa::Addr _dsAddr = 0;
+    Reg _dbPtr, _diagBase, _word, _head, _d, _state, _dist, _run;
+    Reg _h, _rowPtr;
+};
+
 } // namespace
 
 TracedRun
@@ -27,292 +206,38 @@ traceBlast(const TraceInput &input)
 
     const bio::Sequence &query = input.query;
     const int m = static_cast<int>(query.length());
-    const int w = params.wordSize;
     const align::NeighborhoodIndex index(query, matrix, params);
     const std::size_t max_n = input.db.maxLength();
 
     Tracer t("BLAST");
 
-    // Memory image. The neighborhood CSR heads array over the full
-    // word space (~55 KB for w=3 over 23 symbols) plus the position
-    // lists are BLAST's big, data-indexed working set.
-    const isa::Addr a_heads =
+    BlastImage img;
+    img.heads =
         t.alloc((index.tableSize() + 1) * 4, "neighborhood heads");
-    const isa::Addr a_pos = t.alloc(
-        std::max<std::size_t>(index.numEntries(), 1) * 4,
-        "neighborhood positions");
-    const isa::Addr a_diag = t.alloc(
-        (static_cast<std::size_t>(m) + max_n) * 8, "diagonal state");
-    const isa::Addr a_mat = t.alloc(
-        static_cast<std::size_t>(bio::Alphabet::numSymbols)
-            * bio::Alphabet::numSymbols,
-        "scoring matrix");
-    const isa::Addr a_query =
-        t.alloc(static_cast<std::size_t>(m), "query residues");
-    const isa::Addr a_rows = t.alloc(
-        static_cast<std::size_t>(m) * 8, "gapped H/E rows");
-    const isa::Addr a_db =
-        t.alloc(input.db.totalResidues(), "database residues");
+    img.pos = t.alloc(std::max<std::size_t>(index.numEntries(), 1) * 4,
+                      "neighborhood positions");
+    img.diag = t.alloc((static_cast<std::size_t>(m) + max_n) * 8,
+                       "diagonal state");
+    img.mat = t.alloc(static_cast<std::size_t>(bio::Alphabet::numSymbols)
+                          * bio::Alphabet::numSymbols,
+                      "scoring matrix");
+    img.query = t.alloc(static_cast<std::size_t>(m), "query residues");
+    img.rows = t.alloc(static_cast<std::size_t>(m) * 8,
+                       "gapped H/E rows");
+    img.db = t.alloc(input.db.totalResidues(), "database residues");
 
-    // The CSR offset of each word's position list, for realistic
-    // position-array addresses during the scan.
-    const auto pos_offset = [&](std::uint32_t word) {
-        return static_cast<isa::Addr>(
-            index.positions(word).first
-            - index.positions(0).first);
-    };
+    BlastTrace policy(t, img, index);
 
     TracedRun run;
     run.scores.reserve(input.db.size());
-
-    struct DiagState
-    {
-        std::int32_t lastHit = -1000000;
-        std::int32_t extendedTo = -1;
-    };
-
-    isa::Addr seq_base = a_db;
-    for (std::size_t sidx = 0; sidx < input.db.size(); ++sidx) {
-        const bio::Sequence &subject = input.db[sidx];
+    isa::Addr seq_base = img.db;
+    for (const bio::Sequence &subject : input.db) {
         const int n = static_cast<int>(subject.length());
-        const int num_diags = m + n - 1;
-        const int diag_offset = m - 1;
-        const auto *sres = subject.residues().data();
-
-        std::vector<DiagState> diag(
-            static_cast<std::size_t>(std::max(num_diags, 1)));
-
-        int best_ungapped = 0;
-        int best_diag = 0;
-        align::UngappedExtension best_ext;
-
-        // Per-sequence setup: clear the diagonal array.
-        Reg r_dbptr = t.alu();
-        Reg r_diagbase = t.alu();
-        for (int d = 0; d < num_diags; d += 16) {
-            t.store(a_diag + static_cast<isa::Addr>(d) * 8, 8, Reg{},
-                    {r_diagbase});
-            t.branch(d + 16 < num_diags, {r_diagbase});
-        }
-
-        if (m >= w && n >= w) {
-            Reg r_word = t.alu(); // rolling packed word
-            for (int j = 0; j + w <= n; ++j) {
-                const std::uint32_t word = index.encode(sres + j);
-                const auto [begin, end] = index.positions(word);
-
-                // BlastWordFinder step: roll the next residue into
-                // the packed word (Listing 1's READDB_UNPACK shift
-                // games), then probe the lookup table.
-                Reg r_res = t.load(
-                    seq_base + static_cast<isa::Addr>(j), 1,
-                    {r_dbptr});
-                r_word = t.alu({r_word, r_res}); // shift+or
-                Reg r_mask = t.alu({r_word});    // mask to word space
-                Reg r_head = t.load(
-                    a_heads + static_cast<isa::Addr>(word) * 4, 4,
-                    {r_mask});
-                Reg r_tail = t.load(
-                    a_heads + static_cast<isa::Addr>(word + 1) * 4,
-                    4, {r_mask});
-                // READDB_UNPACK-style dependent arithmetic on the
-                // loaded table entries (Listing 1): the serial
-                // integer chain behind each (possibly missing) load
-                // is what makes RG_FIX the top BLAST trauma.
-                Reg r_u1 = t.alu({r_head});
-                Reg r_u2 = t.alu({r_u1, r_tail});
-                Reg r_cnt = t.alu({r_u2});
-                t.branch(begin != end, {r_cnt});
-
-                for (const std::int32_t *p = begin; p != end; ++p) {
-                    const int i = *p;
-                    const int d = j - i + diag_offset;
-                    DiagState &ds =
-                        diag[static_cast<std::size_t>(d)];
-
-                    // Load the query position and the diagonal
-                    // record (both data-dependent addresses).
-                    Reg r_qpos = t.load(
-                        a_pos
-                            + (pos_offset(word)
-                               + static_cast<isa::Addr>(p - begin))
-                                * 4,
-                        4, {r_head});
-                    Reg r_d = t.alu({r_qpos});
-                    const isa::Addr ds_addr =
-                        a_diag + static_cast<isa::Addr>(d) * 8;
-                    Reg r_state = t.load(ds_addr, 8, {r_d});
-
-                    t.branch(j <= ds.extendedTo, {r_state});
-                    if (j <= ds.extendedTo)
-                        continue;
-
-                    bool trigger;
-                    Reg r_dist = t.alu({r_state});
-                    if (params.twoHit) {
-                        const int dist = j - ds.lastHit;
-                        t.branch(dist < w, {r_dist});
-                        if (dist < w)
-                            continue;
-                        trigger = dist <= params.twoHitWindow;
-                    } else {
-                        trigger = true;
-                    }
-                    ds.lastHit = j;
-                    t.store(ds_addr, 4, r_dist, {r_d});
-                    t.branch(!trigger, {r_dist});
-                    if (!trigger)
-                        continue;
-
-                    // ---- ungapped X-drop extension --------------
-                    int seed = 0;
-                    Reg r_run = t.alu();
-                    for (int k = 0; k < w; ++k)
-                        seed += matrix.score(
-                            query[static_cast<std::size_t>(i + k)],
-                            subject[static_cast<std::size_t>(j
-                                                             + k)]);
-
-                    const auto extend_step =
-                        [&](int qi, int sj, Reg &racc) {
-                            Reg r_q = t.load(
-                                a_query
-                                    + static_cast<isa::Addr>(qi),
-                                1, {});
-                            Reg r_s = t.load(
-                                seq_base
-                                    + static_cast<isa::Addr>(sj),
-                                1, {});
-                            Reg r_ma = t.alu({r_q, r_s});
-                            Reg r_sc = t.load(a_mat, 1, {r_ma});
-                            racc = t.alu({racc, r_sc});
-                        };
-
-                    int best_right = 0;
-                    int ext_run = 0;
-                    for (int k = w; i + k < m && j + k < n; ++k) {
-                        extend_step(i + k, j + k, r_run);
-                        ext_run += matrix.score(
-                            query[static_cast<std::size_t>(i + k)],
-                            subject[static_cast<std::size_t>(j
-                                                             + k)]);
-                        t.branch(ext_run > best_right, {r_run});
-                        if (ext_run > best_right)
-                            best_right = ext_run;
-                        const bool drop = ext_run
-                            < best_right - params.xDropUngapped;
-                        t.branch(drop, {r_run});
-                        if (drop)
-                            break;
-                    }
-                    int best_left = 0;
-                    int left_len = 0;
-                    ext_run = 0;
-                    for (int k = 1; i - k >= 0 && j - k >= 0; ++k) {
-                        extend_step(i - k, j - k, r_run);
-                        ext_run += matrix.score(
-                            query[static_cast<std::size_t>(i - k)],
-                            subject[static_cast<std::size_t>(j
-                                                             - k)]);
-                        t.branch(ext_run > best_left, {r_run});
-                        if (ext_run > best_left) {
-                            best_left = ext_run;
-                            left_len = k;
-                        }
-                        const bool drop = ext_run
-                            < best_left - params.xDropUngapped;
-                        t.branch(drop, {r_run});
-                        if (drop)
-                            break;
-                    }
-
-                    const int score = seed + best_right + best_left;
-                    // Right extent of the extension on this
-                    // diagonal (mirrors align::ungappedExtend).
-                    int right_len = 0;
-                    {
-                        // recompute right_len for extendedTo
-                        int rbest = 0;
-                        int rrun = 0;
-                        for (int k = w; i + k < m && j + k < n;
-                             ++k) {
-                            rrun += matrix.score(
-                                query[static_cast<std::size_t>(
-                                    i + k)],
-                                subject[static_cast<std::size_t>(
-                                    j + k)]);
-                            if (rrun > rbest) {
-                                rbest = rrun;
-                                right_len = k - w + 1;
-                            }
-                            if (rrun
-                                < rbest - params.xDropUngapped)
-                                break;
-                        }
-                    }
-                    ds.extendedTo = (i + w - 1 + right_len) + (j - i);
-                    t.store(ds_addr + 4, 4, r_run, {r_d});
-
-                    t.branch(score > best_ungapped, {r_run});
-                    if (score > best_ungapped) {
-                        best_ungapped = score;
-                        best_diag = j - i;
-                        best_ext.score = score;
-                        best_ext.queryStart = i - left_len;
-                        best_ext.queryEnd = i + w - 1 + right_len;
-                    }
-                    t.branch(p + 1 != end, {r_head});
-                }
-                t.branch(j + w + 1 <= n, {r_dbptr}); // scan loop
-            }
-        }
-
-        // ---- gapped extension of the best HSP -------------------
-        int gapped_score = 0;
-        Reg r_g = t.alu();
-        t.branch(best_ungapped >= params.gapTrigger, {r_g});
-        if (best_ungapped >= params.gapTrigger) {
-            Reg r_h = t.alu();
-            Reg r_rowptr = t.alu();
-            // Identical windowed gapped stage as align::blastScan.
-            const align::GappedWindow win = align::gappedWindow(
-                best_ext, best_diag, m, n,
-                params.gappedWindowMargin);
-            const bio::Sequence qw(
-                "qw", "",
-                std::vector<bio::Residue>(
-                    query.residues().begin() + win.queryLo,
-                    query.residues().begin() + win.queryHi + 1));
-            const bio::Sequence sw(
-                "sw", "",
-                std::vector<bio::Residue>(
-                    subject.residues().begin() + win.subjectLo,
-                    subject.residues().begin() + win.subjectHi
-                        + 1));
-            const align::LocalScore gapped =
-                align::bandedSmithWatermanScan(
-                    qw, sw, matrix, gaps, win.center,
-                    params.bandHalfWidth,
-                    [&](int i, int jj, int h, int e, int f) {
-                        const isa::Addr cell =
-                            a_rows + static_cast<isa::Addr>(i) * 8;
-                        (void)jj;
-                        (void)e;
-                        Reg r_sc = t.load(a_mat, 1, {r_rowptr});
-                        Reg r_he = t.load(cell, 8, {r_rowptr});
-                        Reg r_x1 = t.alu({r_h, r_sc});
-                        Reg r_x2 = t.alu({r_x1, r_he});
-                        Reg r_x3 = t.alu({r_x2});
-                        r_h = t.alu({r_x3});
-                        t.branch(h > 0, {r_h});
-                        t.branch(f > 0, {r_h});
-                        t.store(cell, 8, r_h, {r_rowptr});
-                        r_rowptr = t.alu({r_rowptr});
-                    });
-            gapped_score = std::max(gapped.score, 0);
-        }
-
-        run.scores.push_back(gapped_score);
+        policy.sequence(seq_base, m + n - 1);
+        run.scores.push_back(align::blastScan(index, query, subject,
+                                              matrix, gaps, params,
+                                              nullptr, policy)
+                                 .score);
         seq_base += static_cast<isa::Addr>(n);
         t.jump();
     }

@@ -1,9 +1,9 @@
 /**
  * @file
- * Instrumented twin of the NCBI BLASTP word finder + extension
- * pipeline.
+ * Traced NCBI BLASTP word finder + extension pipeline.
  *
- * Mirrors align::blastScan: the BlastWordFinder-style scan streams
+ * Runs align::blastScan itself (align/blast_impl.hh) under a trace
+ * policy: the BlastWordFinder-style scan streams
  * database words through the large neighborhood lookup table
  * (~55 KB of CSR heads plus the position lists), updates the
  * per-diagonal two-hit state, and runs ungapped X-drop extensions;

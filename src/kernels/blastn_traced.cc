@@ -2,9 +2,7 @@
 
 #include <algorithm>
 
-#include "align/banded_impl.hh"
-#include "align/blast.hh"
-#include "bio/scoring.hh"
+#include "align/blastn_impl.hh"
 #include "trace/tracer.hh"
 
 namespace bioarch::kernels
@@ -16,14 +14,186 @@ namespace
 using trace::Reg;
 using trace::Tracer;
 
+/** Memory image of the traced program. */
+struct BlastnImage
+{
+    isa::Addr heads; ///< 4^w + 1 word heads (256 KB at w = 8)
+    isa::Addr pos;
+    isa::Addr diag;  ///< 4-byte extent per diagonal
+    isa::Addr query; ///< packed query bytes
+    isa::Addr rows;
+    isa::Addr db;    ///< packed database bytes
+};
+
+/** Trace policy of align::blastnScan (packed subject). */
+class BlastnTrace
+{
+  public:
+    BlastnTrace(Tracer &t, const BlastnImage &img) : _t(t), _img(img) {}
+
+    /** Per-sequence setup of a subject at @p seq_base with
+     * @p num_diags diagonals: clear the diagonal extents. */
+    void
+    sequence(isa::Addr seq_base, int num_diags)
+    {
+        _seqBase = seq_base;
+        _dbPtr = _t.alu();
+        _diagBase = _t.alu();
+        for (int d = 0; d < num_diags; d += 32) {
+            _t.store(_img.diag + static_cast<isa::Addr>(d) * 4, 16,
+                     Reg{}, {_diagBase});
+            _t.branch(d + 32 < num_diags, {_diagBase});
+        }
+        _lastByte = -1;
+        _byte = Reg{};
+    }
+
+    void scan() { _word = _t.alu(); }
+
+    void
+    roll(int j)
+    {
+        // Roll the next base into the word register.
+        _lastByte = -1; // subject pointer moved
+        Reg r_base = unpack(_seqBase, j, _dbPtr);
+        _word = _t.alu({_word, r_base});
+    }
+
+    void
+    word(std::uint32_t word, bool hits)
+    {
+        Reg r_taddr = _t.alu({_word});
+        _head = _t.load(_img.heads + static_cast<isa::Addr>(word) * 4,
+                        4, {r_taddr});
+        Reg r_tail = _t.load(
+            _img.heads + static_cast<isa::Addr>(word + 1) * 4, 4,
+            {r_taddr});
+        Reg r_cnt = _t.alu({_head, r_tail});
+        _t.branch(hits, {r_cnt});
+    }
+
+    void
+    hit(int slot, int d, bool covered)
+    {
+        Reg r_qpos = _t.load(
+            _img.pos + static_cast<isa::Addr>(slot) * 4, 4, {_head});
+        _d = _t.alu({r_qpos});
+        _dsAddr = _img.diag + static_cast<isa::Addr>(d) * 4;
+        Reg r_ext = _t.load(_dsAddr, 4, {_d});
+        _t.branch(covered, {r_ext});
+    }
+
+    // ---- ungapped extension (Listing 1's nested unpack-compare
+    // cascade per base) -------------------------------------------
+
+    void
+    extend()
+    {
+        _run = _t.alu();
+        _lastByte = -1;
+    }
+
+    // The two directions are separate loops in the real code, so
+    // each keeps its own compare and branch sites (static PCs); only
+    // the unpack sequence is shared.
+    void
+    rightBase(int qi, int sj, bool match)
+    {
+        Reg r_q = unpack(_img.query, qi, Reg{});
+        Reg r_s = unpack(_seqBase, sj, _dbPtr);
+        Reg r_cmp = _t.alu({r_q, r_s});
+        _t.branch(match, {r_cmp});
+        _run = _t.alu({_run, r_cmp});
+    }
+
+    void rightStep(bool drop) { _t.branch(drop, {_run}); }
+
+    void left() { _lastByte = -1; }
+
+    void
+    leftBase(int qi, int sj, bool match)
+    {
+        Reg r_q = unpack(_img.query, qi, Reg{});
+        Reg r_s = unpack(_seqBase, sj, _dbPtr);
+        Reg r_cmp = _t.alu({r_q, r_s});
+        _t.branch(match, {r_cmp});
+        _run = _t.alu({_run, r_cmp});
+    }
+
+    void leftStep(bool drop) { _t.branch(drop, {_run}); }
+
+    void
+    extended(bool improved, bool more)
+    {
+        _t.store(_dsAddr, 4, _run, {_d});
+        _t.branch(improved, {_run});
+        _t.branch(more, {_head});
+    }
+
+    void wordEnd(bool more) { _t.branch(more, {_dbPtr}); } // scan loop
+
+    // ---- gapped extension ---------------------------------------
+
+    void
+    gapped(bool fires)
+    {
+        Reg r_g = _t.alu();
+        _t.branch(fires, {r_g});
+        if (fires) {
+            _h = _t.alu();
+            _rowPtr = _t.alu();
+        }
+    }
+
+    void
+    gappedCell(int i, int h, int f)
+    {
+        const isa::Addr cell = _img.rows + static_cast<isa::Addr>(i) * 8;
+        Reg r_sc = _t.load(cell, 8, {_rowPtr});
+        Reg r_x1 = _t.alu({_h, r_sc});
+        Reg r_x2 = _t.alu({r_x1});
+        _h = _t.alu({r_x2});
+        _t.branch(h > 0, {_h});
+        _t.branch(f > 0, {_h});
+        _t.store(cell, 8, _h, {_rowPtr});
+        _rowPtr = _t.alu({_rowPtr});
+    }
+
+  private:
+    /**
+     * An instrumented byte-unpacking read of base @p pos of a
+     * packed sequence: a byte load (amortized: one per 4 bases,
+     * modeled as reload on byte change) + shift/mask ALU.
+     */
+    Reg
+    unpack(isa::Addr base_addr, int pos, Reg addr_dep)
+    {
+        const int byte = pos >> 2;
+        if (byte != _lastByte || !_byte.valid()) {
+            _byte = _t.load(base_addr + static_cast<isa::Addr>(byte), 1,
+                            {addr_dep});
+            _lastByte = byte;
+        }
+        Reg r_shift = _t.alu({_byte}); // srwi + andi (the
+        return _t.alu({r_shift});      // READDB_UNPACK_BASE)
+    }
+
+    Tracer &_t;
+    const BlastnImage _img;
+    isa::Addr _seqBase = 0;
+    isa::Addr _dsAddr = 0;
+    int _lastByte = -1;
+    Reg _byte;
+    Reg _dbPtr, _diagBase, _word, _head, _d, _run, _h, _rowPtr;
+};
+
 } // namespace
 
 BlastnTracedRun
 traceBlastn(const bio::PackedDna &query, const bio::DnaDatabase &db,
             const align::BlastnParams &params)
 {
-    const int w = params.wordSize;
-    const align::DnaWordIndex index(query, w);
+    const align::DnaWordIndex index(query, params.wordSize);
     const int m = static_cast<int>(query.length());
 
     std::size_t max_n = 0;
@@ -35,243 +205,31 @@ traceBlastn(const bio::PackedDna &query, const bio::DnaDatabase &db,
 
     Tracer t("BLASTN");
 
-    const isa::Addr a_heads =
-        t.alloc((index.tableSize() + 1) * 4, "word heads (256K)");
-    const isa::Addr a_pos = t.alloc(
-        std::max<std::size_t>(index.numWords(), 1) * 4,
-        "word positions");
-    const isa::Addr a_diag = t.alloc(
-        (static_cast<std::size_t>(m) + max_n) * 4, "diag extents");
-    const isa::Addr a_query =
-        t.alloc((query.length() + 3) / 4, "packed query");
-    const isa::Addr a_rows =
-        t.alloc(static_cast<std::size_t>(m) * 8, "gapped H/E rows");
-    const isa::Addr a_db = t.alloc(std::max<std::size_t>(total_bytes, 1),
-                                   "packed database");
+    BlastnImage img;
+    img.heads = t.alloc((index.tableSize() + 1) * 4, "word heads (256K)");
+    img.pos = t.alloc(std::max<std::size_t>(index.numWords(), 1) * 4,
+                      "word positions");
+    img.diag = t.alloc((static_cast<std::size_t>(m) + max_n) * 4,
+                       "diag extents");
+    img.query = t.alloc((query.length() + 3) / 4, "packed query");
+    img.rows = t.alloc(static_cast<std::size_t>(m) * 8,
+                       "gapped H/E rows");
+    img.db = t.alloc(std::max<std::size_t>(total_bytes, 1),
+                     "packed database");
+
+    BlastnTrace policy(t, img);
 
     BlastnTracedRun run;
     run.scores.reserve(db.size());
-
-    const std::uint32_t mask = static_cast<std::uint32_t>(
-        (std::size_t{1} << (2 * w)) - 1);
-
-    isa::Addr seq_base = a_db;
-    for (std::size_t sidx = 0; sidx < db.size(); ++sidx) {
-        const bio::PackedDna &subject = db[sidx];
+    isa::Addr seq_base = img.db;
+    for (const bio::PackedDna &subject : db) {
         const int n = static_cast<int>(subject.length());
-        const int num_diags = m + n - 1;
-        const int diag_offset = m - 1;
-
-        std::vector<std::int32_t> extended_to(
-            static_cast<std::size_t>(std::max(num_diags, 1)), -1);
-        int best_ungapped = 0;
-        int best_diag = 0;
-        align::UngappedExtension best_ext;
-
-        Reg r_dbptr = t.alu();
-        Reg r_diagbase = t.alu();
-        for (int d = 0; d < num_diags; d += 32) {
-            t.store(a_diag + static_cast<isa::Addr>(d) * 4, 16,
-                    Reg{}, {r_diagbase});
-            t.branch(d + 32 < num_diags, {r_diagbase});
-        }
-
-        // An instrumented byte-unpacking read of base @p pos of a
-        // packed sequence: a byte load (amortized: one per 4 bases,
-        // modeled as reload on byte change) + shift/mask ALU.
-        int last_byte = -1;
-        Reg r_byte;
-        auto unpack = [&](isa::Addr base_addr, int pos,
-                          Reg addr_dep) {
-            const int byte = pos >> 2;
-            if (byte != last_byte || !r_byte.valid()) {
-                r_byte = t.load(
-                    base_addr + static_cast<isa::Addr>(byte), 1,
-                    {addr_dep});
-                last_byte = byte;
-            }
-            Reg r_shift = t.alu({r_byte}); // srwi + andi (the
-            return t.alu({r_shift});       // READDB_UNPACK_BASE)
-        };
-
-        if (m >= w && n >= w) {
-            std::uint32_t word = 0;
-            Reg r_word = t.alu();
-            for (int j = 0; j < n; ++j) {
-                word = ((word << 2)
-                        | subject[static_cast<std::size_t>(j)])
-                    & mask;
-                // Roll the next base into the word register.
-                last_byte = -1; // subject pointer moved
-                Reg r_base = unpack(seq_base, j, r_dbptr);
-                r_word = t.alu({r_word, r_base});
-                if (j + 1 < w)
-                    continue;
-                const int start = j + 1 - w;
-                const auto [begin, end] = index.positions(word);
-
-                Reg r_taddr = t.alu({r_word});
-                Reg r_head = t.load(
-                    a_heads + static_cast<isa::Addr>(word) * 4, 4,
-                    {r_taddr});
-                Reg r_tail = t.load(
-                    a_heads + static_cast<isa::Addr>(word + 1) * 4,
-                    4, {r_taddr});
-                Reg r_cnt = t.alu({r_head, r_tail});
-                t.branch(begin != end, {r_cnt});
-
-                for (const std::int32_t *p = begin; p != end; ++p) {
-                    const int i = *p;
-                    const int d = start - i + diag_offset;
-                    Reg r_qpos = t.load(
-                        a_pos
-                            + static_cast<isa::Addr>(p - begin) * 4,
-                        4, {r_head});
-                    Reg r_d = t.alu({r_qpos});
-                    const isa::Addr ds_addr =
-                        a_diag + static_cast<isa::Addr>(d) * 4;
-                    Reg r_ext = t.load(ds_addr, 4, {r_d});
-                    t.branch(
-                        start <= extended_to[
-                            static_cast<std::size_t>(d)],
-                        {r_ext});
-                    if (start
-                        <= extended_to[static_cast<std::size_t>(d)])
-                        continue;
-
-                    // ---- ungapped extension (Listing 1's nested
-                    // unpack-compare cascade per base) ------------
-                    int best_right = 0;
-                    int right_len = 0;
-                    int racc = 0;
-                    Reg r_run = t.alu();
-                    last_byte = -1;
-                    for (int k = w; i + k < m && start + k < n;
-                         ++k) {
-                        Reg r_q =
-                            unpack(a_query, i + k, Reg{});
-                        Reg r_s =
-                            unpack(seq_base, start + k, r_dbptr);
-                        Reg r_cmp = t.alu({r_q, r_s});
-                        const bool match =
-                            query[static_cast<std::size_t>(i + k)]
-                            == subject[static_cast<std::size_t>(
-                                start + k)];
-                        t.branch(match, {r_cmp});
-                        r_run = t.alu({r_run, r_cmp});
-                        racc += match ? params.matchScore
-                                      : params.mismatchScore;
-                        if (racc > best_right) {
-                            best_right = racc;
-                            right_len = k - w + 1;
-                        }
-                        const bool drop = racc
-                            < best_right - params.xDropUngapped;
-                        t.branch(drop, {r_run});
-                        if (drop)
-                            break;
-                    }
-                    int best_left = 0;
-                    int left_len = 0;
-                    racc = 0;
-                    last_byte = -1;
-                    for (int k = 1; i - k >= 0 && start - k >= 0;
-                         ++k) {
-                        Reg r_q =
-                            unpack(a_query, i - k, Reg{});
-                        Reg r_s =
-                            unpack(seq_base, start - k, r_dbptr);
-                        Reg r_cmp = t.alu({r_q, r_s});
-                        const bool match =
-                            query[static_cast<std::size_t>(i - k)]
-                            == subject[static_cast<std::size_t>(
-                                start - k)];
-                        t.branch(match, {r_cmp});
-                        r_run = t.alu({r_run, r_cmp});
-                        racc += match ? params.matchScore
-                                      : params.mismatchScore;
-                        if (racc > best_left) {
-                            best_left = racc;
-                            left_len = k;
-                        }
-                        const bool drop = racc
-                            < best_left - params.xDropUngapped;
-                        t.branch(drop, {r_run});
-                        if (drop)
-                            break;
-                    }
-
-                    const int score = params.matchScore * w
-                        + best_right + best_left;
-                    extended_to[static_cast<std::size_t>(d)] =
-                        start + w - 1 + right_len;
-                    t.store(ds_addr, 4, r_run, {r_d});
-
-                    t.branch(score > best_ungapped, {r_run});
-                    if (score > best_ungapped) {
-                        best_ungapped = score;
-                        best_diag = start - i;
-                        best_ext.score = score;
-                        best_ext.queryStart = i - left_len;
-                        best_ext.queryEnd =
-                            i + w - 1 + right_len;
-                    }
-                    t.branch(p + 1 != end, {r_head});
-                }
-                t.branch(j + 1 < n, {r_dbptr}); // scan loop
-            }
-        }
-
-        // ---- gapped extension, identical to align::blastnScan ---
-        int gapped_score = 0;
-        Reg r_g = t.alu();
-        t.branch(best_ungapped >= params.gapTrigger, {r_g});
-        if (best_ungapped >= params.gapTrigger) {
-            const align::GappedWindow win = align::gappedWindow(
-                best_ext, best_diag, m, n,
-                params.gappedWindowMargin);
-            auto decode = [](const bio::PackedDna &dna, int lo,
-                             int hi) {
-                std::vector<bio::Residue> out;
-                for (int i = lo; i <= hi; ++i)
-                    out.push_back(static_cast<bio::Residue>(
-                        dna[static_cast<std::size_t>(i)]));
-                return bio::Sequence("w", "", std::move(out));
-            };
-            const bio::Sequence qw =
-                decode(query, win.queryLo, win.queryHi);
-            const bio::Sequence sw =
-                decode(subject, win.subjectLo, win.subjectHi);
-            const bio::ScoringMatrix mm = bio::makeMatchMismatch(
-                params.matchScore, params.mismatchScore);
-            const bio::GapPenalties gaps{params.gapOpen,
-                                         params.gapExtend};
-            Reg r_h = t.alu();
-            Reg r_rowptr = t.alu();
-            const align::LocalScore gapped =
-                align::bandedSmithWatermanScan(
-                    qw, sw, mm, gaps, win.center,
-                    params.bandHalfWidth,
-                    [&](int i, int jj, int h, int e, int f) {
-                        const isa::Addr cell =
-                            a_rows + static_cast<isa::Addr>(i) * 8;
-                        (void)jj;
-                        (void)e;
-                        Reg r_sc = t.load(cell, 8, {r_rowptr});
-                        Reg r_x1 = t.alu({r_h, r_sc});
-                        Reg r_x2 = t.alu({r_x1});
-                        r_h = t.alu({r_x2});
-                        t.branch(h > 0, {r_h});
-                        t.branch(f > 0, {r_h});
-                        t.store(cell, 8, r_h, {r_rowptr});
-                        r_rowptr = t.alu({r_rowptr});
-                    });
-            gapped_score = std::max(gapped.score, 0);
-        }
-
-        run.scores.push_back(gapped_score);
-        seq_base +=
-            static_cast<isa::Addr>(subject.bytes().size());
+        policy.sequence(seq_base, m + n - 1);
+        run.scores.push_back(
+            align::blastnScan(index, query, subject, params, nullptr,
+                              policy)
+                .score);
+        seq_base += static_cast<isa::Addr>(subject.bytes().size());
         t.jump();
     }
 

@@ -1,7 +1,8 @@
 /**
  * @file
- * Instrumented twin of the blastn word finder — the literal code of
- * the paper's Listing 1: rolling 2-bit words built from packed
+ * Traced blastn word finder: align::blastnScan itself
+ * (align/blastn_impl.hh) under a trace policy that emits the
+ * literal code of the paper's Listing 1: rolling 2-bit words built from packed
  * database bytes, a large direct-address word table (4^8 entries =
  * 256 KB of heads), and extensions that unpack bases with the
  * nested if-cascade of READDB_UNPACK_BASE_4..1.

@@ -12,7 +12,7 @@ namespace bioarch::kernels
 {
 
 /**
- * Run the traced twin of @p workload on the working set @p input.
+ * Run the traced kernel of @p workload on the working set @p input.
  */
 TracedRun traceWorkload(Workload workload, const TraceInput &input);
 

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 
-#include "align/banded_impl.hh"
-#include "align/fasta.hh"
+#include "align/fasta_impl.hh"
 #include "bio/scoring.hh"
 #include "trace/tracer.hh"
 
@@ -16,6 +15,192 @@ namespace
 using trace::Reg;
 using trace::Tracer;
 
+/**
+ * Memory image of the traced program: k-tuple CSR table (heads +
+ * positions), the per-diagonal run-state array, the scoring matrix,
+ * query and database bytes, and the banded-opt H/E rows.
+ */
+struct FastaImage
+{
+    isa::Addr heads;
+    isa::Addr pos;
+    isa::Addr diag;  ///< 16-byte run-state record per diagonal
+    isa::Addr mat;
+    isa::Addr query;
+    isa::Addr rows;
+    isa::Addr db;
+};
+
+/** Trace policy of align::fastaScan. */
+class FastaTrace
+{
+  public:
+    FastaTrace(Tracer &t, const FastaImage &img) : _t(t), _img(img) {}
+
+    /** Per-sequence setup of a subject at @p seq_base with
+     * @p num_diags diagonals: clear the diagonal array (the real
+     * code re-zeroes its active diagonals between sequences). */
+    void
+    sequence(isa::Addr seq_base, int num_diags)
+    {
+        _seqBase = seq_base;
+        _dbPtr = _t.alu();
+        _diagBase = _t.alu();
+        for (int d = 0; d < num_diags; d += 16) {
+            _t.store(_img.diag + static_cast<isa::Addr>(d) * 16, 16,
+                     Reg{}, {_diagBase});
+            _t.alu({_diagBase});
+            _t.branch(d + 16 < num_diags, {_diagBase});
+        }
+    }
+
+    // ---- Stage 2: word scan + diagonal accumulation -------------
+
+    void scan() { _word = _t.alu(); } // rolling word register
+
+    void
+    word(int j, std::uint32_t w, bool hits)
+    {
+        // Roll the next residue into the word, index the heads
+        // table, test for hits.
+        Reg r_res = _t.load(_seqBase + static_cast<isa::Addr>(j), 1,
+                            {_dbPtr});
+        _word = _t.alu({_word, r_res});
+        Reg r_taddr = _t.alu({_word});
+        _head = _t.load(_img.heads + static_cast<isa::Addr>(w) * 4, 4,
+                        {r_taddr});
+        Reg r_tail = _t.load(
+            _img.heads + static_cast<isa::Addr>(w + 1) * 4, 4,
+            {r_taddr});
+        Reg r_cnt = _t.alu({_head, r_tail});
+        _t.branch(hits, {r_cnt});
+    }
+
+    void
+    hit(int slot, int d, bool overlap, bool extend, bool improved,
+        bool more)
+    {
+        // Load the query position and the diagonal state (two
+        // words of the 16-byte record).
+        Reg r_qpos = _t.load(
+            _img.pos + static_cast<isa::Addr>(slot) * 4, 4, {_head});
+        Reg r_d = _t.alu({r_qpos});
+        const isa::Addr ds_addr =
+            _img.diag + static_cast<isa::Addr>(d) * 16;
+        Reg r_last = _t.load(ds_addr, 4, {r_d});
+        Reg r_run = _t.load(ds_addr + 8, 8, {r_d});
+        Reg r_gap = _t.alu({r_qpos, r_last});
+
+        _t.branch(overlap, {r_gap});
+        if (overlap) {
+            r_run = _t.alu({r_run, r_gap});
+        } else {
+            _t.branch(extend, {r_run, r_gap});
+            if (extend)
+                r_run = _t.alu({r_run, r_gap});
+            else
+                r_run = _t.alu({r_gap});
+        }
+        _t.store(ds_addr, 4, r_qpos, {r_d});
+        _t.store(ds_addr + 8, 4, r_run, {r_d});
+
+        _t.branch(improved, {r_run});
+        if (improved)
+            _t.store(ds_addr + 12, 4, r_run, {r_d});
+        _t.branch(more, {_head});
+    }
+
+    void wordEnd(bool more) { _t.branch(more, {_dbPtr}); } // scan loop
+
+    // ---- collect candidate regions ------------------------------
+
+    void
+    sweep(int d, bool region)
+    {
+        // Savemax sweep: one load + test per active diagonal.
+        if ((d & 15) == 0)
+            _t.load(_img.diag + static_cast<isa::Addr>(d) * 16, 16,
+                    {_diagBase});
+        if (region)
+            _t.branch(true, {_diagBase});
+    }
+
+    // ---- Stage 3: matrix rescoring (init1) ----------------------
+
+    void rescore() { _racc = _t.alu(); }
+
+    void
+    rescoreCell(int i, int j, bool restart, bool improved, bool more)
+    {
+        // Kadane cell: q/s residue loads, matrix lookup, accumulate,
+        // two data-dependent tests.
+        Reg r_q = _t.load(_img.query + static_cast<isa::Addr>(i), 1, {});
+        Reg r_s = _t.load(_seqBase + static_cast<isa::Addr>(j), 1, {});
+        Reg r_maddr = _t.alu({r_q, r_s});
+        Reg r_sc = _t.load(_img.mat, 1, {r_maddr});
+        _t.branch(restart, {_racc});
+        if (restart)
+            _racc = _t.alu({r_sc});
+        else
+            _racc = _t.alu({_racc, r_sc});
+        _t.branch(improved, {_racc});
+        _t.branch(more, {});
+    }
+
+    // ---- Stage 4: region chaining (initn) -----------------------
+
+    void chain() { _chain = _t.alu(); }
+
+    void
+    chainRegion(bool joins)
+    {
+        // Compare/join: a handful of scalar ops per region.
+        Reg r_reg = _t.load(_img.diag, 8, {_diagBase});
+        Reg r_cmp = _t.alu({_chain, r_reg});
+        _t.branch(joins, {r_cmp});
+        if (joins)
+            _chain = _t.alu({_chain, r_reg});
+        else
+            _chain = _t.alu({_chain});
+    }
+
+    // ---- Stage 5: banded opt ------------------------------------
+
+    void
+    opt(bool runs)
+    {
+        _t.branch(runs, {_chain});
+        if (runs) {
+            _h = _t.alu();
+            _rowPtr = _t.alu();
+        }
+    }
+
+    void
+    optCell(int i, int h, int f)
+    {
+        // Per banded cell: profile + H/E row loads, the recurrence
+        // ALU work, the computation-avoidance test, row stores.
+        const isa::Addr cell = _img.rows + static_cast<isa::Addr>(i) * 8;
+        Reg r_sc = _t.load(_img.mat, 1, {_rowPtr});
+        Reg r_he = _t.load(cell, 8, {_rowPtr});
+        Reg r_x1 = _t.alu({_h, r_sc});
+        Reg r_x2 = _t.alu({r_x1, r_he});
+        Reg r_x3 = _t.alu({r_x2});
+        _h = _t.alu({r_x3});
+        _t.branch(h > 0, {_h});
+        _t.branch(f > 0, {_h});
+        _t.store(cell, 8, _h, {_rowPtr});
+        _rowPtr = _t.alu({_rowPtr});
+    }
+
+  private:
+    Tracer &_t;
+    const FastaImage _img;
+    isa::Addr _seqBase = 0;
+    Reg _dbPtr, _diagBase, _word, _head, _racc, _chain, _h, _rowPtr;
+};
+
 } // namespace
 
 TracedRun
@@ -27,300 +212,37 @@ traceFasta(const TraceInput &input)
 
     const bio::Sequence &query = input.query;
     const int m = static_cast<int>(query.length());
-    const int ktup = params.ktup;
-    const align::KtupIndex index(query, ktup);
+    const align::KtupIndex index(query, params.ktup);
     const std::size_t max_n = input.db.maxLength();
 
     Tracer t("FASTA34");
 
-    // Memory image: k-tuple CSR table (heads + positions), the
-    // per-diagonal run-state array, the scoring matrix, query and
-    // database bytes, and the banded-opt H/E rows.
-    const isa::Addr a_heads =
-        t.alloc((index.tableSize() + 1) * 4, "ktup heads");
-    const isa::Addr a_pos = t.alloc(
-        static_cast<std::size_t>(std::max(m, 1)) * 4,
-        "ktup positions");
-    const isa::Addr a_diag = t.alloc(
-        (static_cast<std::size_t>(m) + max_n) * 16, "diagonal state");
-    const isa::Addr a_mat = t.alloc(
-        static_cast<std::size_t>(bio::Alphabet::numSymbols)
-            * bio::Alphabet::numSymbols,
-        "scoring matrix");
-    const isa::Addr a_query = t.alloc(
-        static_cast<std::size_t>(m), "query residues");
-    const isa::Addr a_rows = t.alloc(
-        static_cast<std::size_t>(m) * 8, "banded H/E rows");
-    const isa::Addr a_db =
-        t.alloc(input.db.totalResidues(), "database residues");
+    FastaImage img;
+    img.heads = t.alloc((index.tableSize() + 1) * 4, "ktup heads");
+    img.pos = t.alloc(static_cast<std::size_t>(std::max(m, 1)) * 4,
+                      "ktup positions");
+    img.diag = t.alloc((static_cast<std::size_t>(m) + max_n) * 16,
+                       "diagonal state");
+    img.mat = t.alloc(static_cast<std::size_t>(bio::Alphabet::numSymbols)
+                          * bio::Alphabet::numSymbols,
+                      "scoring matrix");
+    img.query = t.alloc(static_cast<std::size_t>(m), "query residues");
+    img.rows = t.alloc(static_cast<std::size_t>(m) * 8,
+                       "banded H/E rows");
+    img.db = t.alloc(input.db.totalResidues(), "database residues");
+
+    FastaTrace policy(t, img);
 
     TracedRun run;
     run.scores.reserve(input.db.size());
-
-    struct DiagState
-    {
-        std::int32_t lastQueryPos = -1000000;
-        std::int32_t runStart = 0;
-        std::int32_t runScore = 0;
-        std::int32_t bestScore = 0;
-        std::int32_t bestStart = 0;
-        std::int32_t bestEnd = 0;
-    };
-
-    isa::Addr seq_base = a_db;
-    for (std::size_t sidx = 0; sidx < input.db.size(); ++sidx) {
-        const bio::Sequence &subject = input.db[sidx];
+    isa::Addr seq_base = img.db;
+    for (const bio::Sequence &subject : input.db) {
         const int n = static_cast<int>(subject.length());
-        const int num_diags = m + n - 1;
-        const int diag_offset = m - 1;
-        const int hit_bonus = 4 * ktup;
-        const auto *sres = subject.residues().data();
-
-        std::vector<DiagState> diags(
-            static_cast<std::size_t>(std::max(num_diags, 1)));
-
-        // Per-sequence setup: clear the diagonal array (the real
-        // code re-zeroes its active diagonals between sequences).
-        Reg r_dbptr = t.alu();
-        Reg r_diagbase = t.alu();
-        for (int d = 0; d < num_diags; d += 16) {
-            t.store(a_diag + static_cast<isa::Addr>(d) * 16, 16,
-                    Reg{}, {r_diagbase});
-            t.alu({r_diagbase});
-            t.branch(d + 16 < num_diags, {r_diagbase});
-        }
-
-        // ---- Stage 2: word scan + diagonal accumulation ---------
-        if (m >= ktup && n >= ktup) {
-            Reg r_word = t.alu(); // rolling word register
-            for (int j = 0; j + ktup <= n; ++j) {
-                const std::uint32_t w = index.encode(sres + j);
-                const auto [begin, end] = index.positions(w);
-
-                // Roll the next residue into the word, index the
-                // heads table, test for hits.
-                Reg r_res = t.load(
-                    seq_base + static_cast<isa::Addr>(j), 1,
-                    {r_dbptr});
-                r_word = t.alu({r_word, r_res});
-                Reg r_taddr = t.alu({r_word});
-                Reg r_head = t.load(
-                    a_heads + static_cast<isa::Addr>(w) * 4, 4,
-                    {r_taddr});
-                Reg r_tail = t.load(
-                    a_heads + static_cast<isa::Addr>(w + 1) * 4, 4,
-                    {r_taddr});
-                Reg r_cnt = t.alu({r_head, r_tail});
-                t.branch(begin != end, {r_cnt});
-
-                Reg r_pptr = r_head;
-                for (const std::int32_t *p = begin; p != end; ++p) {
-                    const int i = *p;
-                    const int d = j - i + diag_offset;
-                    DiagState &ds =
-                        diags[static_cast<std::size_t>(d)];
-                    const int gap = i - ds.lastQueryPos - ktup;
-
-                    // Load the query position and the diagonal
-                    // state (two words of the 16-byte record).
-                    Reg r_qpos = t.load(
-                        a_pos + static_cast<isa::Addr>(p - begin) * 4,
-                        4, {r_pptr});
-                    Reg r_d = t.alu({r_qpos});
-                    const isa::Addr ds_addr =
-                        a_diag + static_cast<isa::Addr>(d) * 16;
-                    Reg r_last = t.load(ds_addr, 4, {r_d});
-                    Reg r_run = t.load(ds_addr + 8, 8, {r_d});
-                    Reg r_gap = t.alu({r_qpos, r_last});
-
-                    t.branch(gap < 0, {r_gap});
-                    if (gap < 0) {
-                        ds.runScore += hit_bonus + 2 * gap;
-                        r_run = t.alu({r_run, r_gap});
-                    } else {
-                        t.branch(ds.runScore - gap > 0,
-                                 {r_run, r_gap});
-                        if (ds.runScore - gap > 0) {
-                            ds.runScore += hit_bonus - gap;
-                            r_run = t.alu({r_run, r_gap});
-                        } else {
-                            ds.runScore = hit_bonus;
-                            ds.runStart = i;
-                            r_run = t.alu({r_gap});
-                        }
-                    }
-                    ds.lastQueryPos = i;
-                    t.store(ds_addr, 4, r_qpos, {r_d});
-                    t.store(ds_addr + 8, 4, r_run, {r_d});
-
-                    t.branch(ds.runScore > ds.bestScore, {r_run});
-                    if (ds.runScore > ds.bestScore) {
-                        ds.bestScore = ds.runScore;
-                        ds.bestStart = ds.runStart;
-                        ds.bestEnd = i + ktup - 1;
-                        t.store(ds_addr + 12, 4, r_run, {r_d});
-                    }
-                    t.branch(p + 1 != end, {r_pptr});
-                }
-                t.branch(j + ktup + 1 <= n, {r_dbptr}); // scan loop
-            }
-        }
-
-        // ---- collect candidate regions --------------------------
-        std::vector<align::FastaRegion> candidates;
-        for (int d = 0; d < num_diags; ++d) {
-            const DiagState &ds = diags[static_cast<std::size_t>(d)];
-            // Savemax sweep: one load + test per active diagonal.
-            if ((d & 15) == 0)
-                t.load(a_diag + static_cast<isa::Addr>(d) * 16, 16,
-                       {r_diagbase});
-            if (ds.bestScore <= 0)
-                continue;
-            t.branch(true, {r_diagbase});
-            align::FastaRegion r;
-            r.diag = d - diag_offset;
-            r.queryStart = ds.bestStart;
-            r.queryEnd = ds.bestEnd;
-            r.score = ds.bestScore;
-            candidates.push_back(r);
-        }
-        std::sort(candidates.begin(), candidates.end(),
-                  [](const align::FastaRegion &a,
-                     const align::FastaRegion &b) {
-                      return a.score > b.score;
-                  });
-        if (static_cast<int>(candidates.size()) > params.maxRegions)
-            candidates.resize(
-                static_cast<std::size_t>(params.maxRegions));
-
-        // ---- Stage 3: matrix rescoring (init1) ------------------
-        for (align::FastaRegion &r : candidates) {
-            const int lo = std::max(0, r.queryStart);
-            const int hi =
-                std::min({r.queryEnd, m - 1, n - 1 - r.diag});
-            align::FastaRegion res;
-            res.diag = r.diag;
-            int rrun = 0;
-            int run_start = lo;
-            Reg r_racc = t.alu();
-            for (int i = lo; i <= hi; ++i) {
-                const int jj = i + r.diag;
-                const int s = matrix.score(
-                    query[static_cast<std::size_t>(i)],
-                    subject[static_cast<std::size_t>(jj)]);
-                // Kadane cell: q/s residue loads, matrix lookup,
-                // accumulate, two data-dependent tests.
-                Reg r_q = t.load(
-                    a_query + static_cast<isa::Addr>(i), 1, {});
-                Reg r_s = t.load(
-                    seq_base + static_cast<isa::Addr>(jj), 1, {});
-                Reg r_maddr = t.alu({r_q, r_s});
-                Reg r_sc = t.load(a_mat, 1, {r_maddr});
-                t.branch(rrun <= 0, {r_racc});
-                if (rrun <= 0) {
-                    rrun = s;
-                    run_start = i;
-                    r_racc = t.alu({r_sc});
-                } else {
-                    rrun += s;
-                    r_racc = t.alu({r_racc, r_sc});
-                }
-                t.branch(rrun > res.score, {r_racc});
-                if (rrun > res.score) {
-                    res.score = rrun;
-                    res.queryStart = run_start;
-                    res.queryEnd = i;
-                }
-                t.branch(i + 1 <= hi, {});
-            }
-            r = res;
-        }
-        std::sort(candidates.begin(), candidates.end(),
-                  [](const align::FastaRegion &a,
-                     const align::FastaRegion &b) {
-                      return a.score > b.score;
-                  });
-        while (!candidates.empty() && candidates.back().score <= 0)
-            candidates.pop_back();
-
-        int init1 = 0;
-        int initn = 0;
-        int opt = 0;
-        if (!candidates.empty()) {
-            init1 = candidates.front().score;
-
-            // ---- Stage 4: region chaining (initn) ---------------
-            std::vector<align::FastaRegion> by_query = candidates;
-            std::sort(by_query.begin(), by_query.end(),
-                      [](const align::FastaRegion &a,
-                         const align::FastaRegion &b) {
-                          return a.queryStart < b.queryStart;
-                      });
-            int chain = 0;
-            int chain_end = -1;
-            int chain_diag_end = -1000000;
-            Reg r_chain = t.alu();
-            for (const align::FastaRegion &r : by_query) {
-                const int subj_start = r.queryStart + r.diag;
-                // Compare/join: a handful of scalar ops per region.
-                Reg r_reg = t.load(a_diag, 8, {r_diagbase});
-                Reg r_cmp = t.alu({r_chain, r_reg});
-                t.branch(r.queryStart > chain_end
-                             && subj_start > chain_diag_end,
-                         {r_cmp});
-                if (r.queryStart > chain_end
-                    && subj_start > chain_diag_end) {
-                    const int joined = chain > 0
-                        ? chain + r.score - params.joinGapPenalty
-                        : r.score;
-                    chain = std::max(joined, r.score);
-                    r_chain = t.alu({r_chain, r_reg});
-                } else {
-                    chain = std::max(chain, r.score);
-                    r_chain = t.alu({r_chain});
-                }
-                chain_end = std::max(chain_end, r.queryEnd);
-                chain_diag_end =
-                    std::max(chain_diag_end, r.queryEnd + r.diag);
-            }
-            initn = std::max(chain, init1);
-
-            // ---- Stage 5: banded opt ----------------------------
-            t.branch(initn >= params.optThreshold, {r_chain});
-            if (initn >= params.optThreshold) {
-                Reg r_h = t.alu();
-                Reg r_rowptr = t.alu();
-                const align::LocalScore banded =
-                    align::bandedSmithWatermanScan(
-                        query, subject, matrix, gaps,
-                        candidates.front().diag,
-                        params.bandHalfWidth,
-                        [&](int i, int jj, int h, int e, int f) {
-                            // Per banded cell: profile + H/E row
-                            // loads, the recurrence ALU work, the
-                            // computation-avoidance test, row
-                            // stores.
-                            const isa::Addr cell = a_rows
-                                + static_cast<isa::Addr>(i) * 8;
-                            (void)jj;
-                            (void)e;
-                            Reg r_sc =
-                                t.load(a_mat, 1, {r_rowptr});
-                            Reg r_he = t.load(cell, 8, {r_rowptr});
-                            Reg r_x1 = t.alu({r_h, r_sc});
-                            Reg r_x2 = t.alu({r_x1, r_he});
-                            Reg r_x3 = t.alu({r_x2});
-                            r_h = t.alu({r_x3});
-                            t.branch(h > 0, {r_h});
-                            t.branch(f > 0, {r_h});
-                            t.store(cell, 8, r_h, {r_rowptr});
-                            r_rowptr = t.alu({r_rowptr});
-                        });
-                opt = banded.score;
-            }
-        }
-
-        run.scores.push_back(std::max(opt, initn));
+        policy.sequence(seq_base, m + n - 1);
+        const align::FastaScores fs = align::fastaScan(
+            index, query, subject, matrix, gaps, params, nullptr,
+            policy);
+        run.scores.push_back(std::max(fs.opt, fs.initn));
         seq_base += static_cast<isa::Addr>(n);
         t.jump();
     }

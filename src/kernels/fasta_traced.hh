@@ -1,11 +1,11 @@
 /**
  * @file
- * Instrumented twin of the FASTA34 heuristic search.
+ * Traced FASTA34 heuristic search.
  *
- * Mirrors align::fastaScan stage by stage — k-tuple table scan,
- * diagonal run accumulation, matrix rescoring, region chaining, and
- * the banded opt pass — while emitting the corresponding instruction
- * stream. The scan and diagonal stages are short, branchy,
+ * Runs align::fastaScan itself (align/fasta_impl.hh) under a trace
+ * policy that emits the instruction stream of each stage — k-tuple
+ * table scan, diagonal run accumulation, matrix rescoring, region
+ * chaining, and the banded opt pass. The scan and diagonal stages are short, branchy,
  * table-driven code (the source of FASTA's ~18% control share and
  * poor branch prediction in the paper); the opt stage contributes
  * DP-cell work on the sequences that pass the initn threshold.

@@ -1,6 +1,6 @@
 #include "ssearch_traced.hh"
 
-#include "align/ssearch.hh"
+#include "align/ssearch_impl.hh"
 #include "bio/scoring.hh"
 #include "trace/tracer.hh"
 
@@ -14,10 +14,9 @@ using trace::Reg;
 using trace::Tracer;
 
 /**
- * Traced-twin state for one database scan. The memory image mirrors
- * the real program: a 16-bit query profile (numSymbols rows of m
- * scores), the ss[] array of {H, E} pairs, and the database residues
- * as one contiguous byte stream.
+ * Memory image of the traced program: a 16-bit query profile
+ * (numSymbols rows of m scores), the ss[] array of {H, E} pairs,
+ * and the database residues as one contiguous byte stream.
  */
 struct SsearchImage
 {
@@ -26,16 +25,128 @@ struct SsearchImage
     isa::Addr db;      ///< database residue bytes
 };
 
+/**
+ * Trace policy of align::ssearchScan: three loads, two stores, ~6
+ * integer ALU ops and 3-5 data-dependent branches per DP cell.
+ */
+class SsearchTrace
+{
+  public:
+    SsearchTrace(Tracer &t, const SsearchImage &img, int m)
+        : _t(t), _img(img), _m(m)
+    {
+    }
+
+    /** Per-sequence setup of the subject at @p seq_base: clear the
+     * ss[] array (memset-style loop: the real code re-initializes
+     * the row between sequences) and load loop bounds. */
+    void
+    sequence(isa::Addr seq_base)
+    {
+        _seqBase = seq_base;
+        _ssBase = _t.alu();        // la ss
+        _dbPtr = _t.alu();         // sequence start pointer
+        _len = _t.load(seq_base - 8, 4); // length header
+        for (int i = 0; i < _m; i += 16) {
+            // dcbz-style block clear, one store per 2 cells.
+            _t.store(_img.ss + static_cast<isa::Addr>(i) * 8, 8,
+                     Reg{}, {_ssBase});
+            _t.alu({_ssBase});
+            _t.branch(i + 16 < _m, {_len});
+        }
+        _best = _t.alu(); // li best, 0
+    }
+
+    void
+    column(int j, bio::Residue res)
+    {
+        // Load the subject residue and derive the profile row.
+        _res = _t.load(_seqBase + static_cast<isa::Addr>(j), 1,
+                       {_dbPtr});
+        _row = _t.alu({_res}); // rowbase = prof + res*m*2
+        _rowAddr = _img.profile + static_cast<isa::Addr>(res) * _m * 2;
+        _p = _t.alu();  // li p, 0
+        _f = _t.alu();  // li f, 0
+        _ss = _t.alu({_ssBase}); // mr ssj, ss
+    }
+
+    void
+    cell(int i, bool f_gate, bool e_gate, bool h_gate, bool improved,
+         bool more)
+    {
+        const isa::Addr cell_addr =
+            _img.ss + static_cast<isa::Addr>(i) * 8;
+
+        // h = p + *pwaa++ (update-form halfword load).
+        Reg r_w = _t.load(_rowAddr + static_cast<isa::Addr>(i) * 2, 2,
+                          {_row});
+        Reg r_h = _t.alu({_p, r_w});
+
+        // e = ssj->E; p = ssj->H (two loads).
+        Reg r_e = _t.load(cell_addr + 4, 4, {_ss});
+        _p = _t.load(cell_addr, 4, {_ss});
+
+        // F path: if (f > 0) { h = max(h, f); f -= ext; }
+        _t.alu({_f});              // cmpwi f, 0
+        _t.branch(f_gate, {_f});
+        if (f_gate) {
+            r_h = _t.alu({r_h, _f});   // max via cmp+isel
+            _f = _t.alu({_f});         // f -= gap_ext
+        }
+
+        // E path: if (e > 0) { h = max(h, e); e -= ext; }
+        _t.alu({r_e});             // cmpwi e, 0
+        _t.branch(e_gate, {r_e});
+        if (e_gate) {
+            r_h = _t.alu({r_h, r_e});
+            r_e = _t.alu({r_e});
+        }
+
+        // H path with computation avoidance.
+        _t.alu({r_h});             // cmpwi h, 0
+        _t.branch(h_gate, {r_h});
+        if (h_gate) {
+            _t.branch(improved, {r_h, _best});
+            if (improved)
+                _best = _t.alu({r_h}); // mr best, h
+            Reg r_open = _t.alu({r_h}); // open = h - ngap_init
+            r_e = _t.alu({r_open, r_e}); // e = max(e, open)
+            _f = _t.alu({r_open, _f});   // f = max(f, open)
+        } else {
+            r_h = _t.alu(); // li h, 0
+        }
+
+        // ssj->H = h; ssj->E = max(e, 0); ssj++.
+        _t.store(cell_addr, 4, r_h, {_ss});
+        _t.store(cell_addr + 4, 4, r_e, {_ss});
+        _ss = _t.alu({_ss}); // addi ssj, 8
+        _t.branch(more, {_ss}); // bdnz inner loop
+    }
+
+    void
+    columnEnd(bool more)
+    {
+        _dbPtr = _t.alu({_dbPtr}); // advance subject pointer
+        _t.branch(more, {_dbPtr, _len}); // outer loop
+    }
+
+  private:
+    Tracer &_t;
+    const SsearchImage _img;
+    const int _m;
+    isa::Addr _seqBase = 0;
+    isa::Addr _rowAddr = 0;
+    Reg _ssBase, _dbPtr, _len, _best;
+    Reg _res, _row, _p, _f, _ss;
+};
+
 } // namespace
 
 TracedRun
 traceSsearch(const TraceInput &input)
 {
-    const bio::ScoringMatrix &matrix = bio::blosum62();
     const bio::GapPenalties gaps;
     const int m = static_cast<int>(input.query.length());
-    const int ngap_init = gaps.openCost();
-    const int gap_ext = gaps.extendCost();
 
     Tracer t("SSEARCH34");
 
@@ -46,131 +157,18 @@ traceSsearch(const TraceInput &input)
     img.ss = t.alloc(static_cast<std::size_t>(m) * 8, "ss[] H/E");
     img.db = t.alloc(input.db.totalResidues(), "database residues");
 
-    const align::QueryProfile profile(input.query, matrix);
+    const align::QueryProfile profile(input.query, bio::blosum62());
+    SsearchTrace policy(t, img, m);
 
     TracedRun run;
     run.scores.reserve(input.db.size());
-
-    struct Cell { int h; int e; };
-    std::vector<Cell> ss(static_cast<std::size_t>(m));
-
     isa::Addr seq_base = img.db;
-    for (std::size_t sidx = 0; sidx < input.db.size(); ++sidx) {
-        const bio::Sequence &subject = input.db[sidx];
-        const int n = static_cast<int>(subject.length());
-
-        // Per-sequence setup: clear the ss[] array (memset-style
-        // loop: the real code re-initializes the row between
-        // sequences) and load loop bounds.
-        std::fill(ss.begin(), ss.end(), Cell{0, 0});
-        Reg ss_base = t.alu();        // la ss
-        Reg db_ptr = t.alu();         // sequence start pointer
-        Reg len = t.load(seq_base - 8, 4); // length header
-        for (int i = 0; i < m; i += 16) {
-            // dcbz-style block clear, one store per 2 cells.
-            t.store(img.ss + static_cast<isa::Addr>(i) * 8, 8,
-                    Reg{}, {ss_base});
-            t.alu({ss_base});
-            t.branch(i + 16 < m, {len});
-        }
-
-        int best = 0;
-        Reg r_best = t.alu(); // li best, 0
-
-        for (int j = 0; j < n; ++j) {
-            // Load the subject residue and derive the profile row.
-            const bio::Residue res = subject[j];
-            Reg r_res = t.load(
-                seq_base + static_cast<isa::Addr>(j), 1, {db_ptr});
-            Reg r_row = t.alu({r_res}); // rowbase = prof + res*m*2
-            const std::int16_t *pwaa = profile.row(res);
-            const isa::Addr row_addr = img.profile
-                + static_cast<isa::Addr>(res) * m * 2;
-
-            Reg r_p = t.alu();  // li p, 0
-            Reg r_f = t.alu();  // li f, 0
-            Reg r_ss = t.alu({ss_base}); // mr ssj, ss
-
-            int p = 0;
-            int f = 0;
-            for (int i = 0; i < m; ++i) {
-                Cell &ssj = ss[static_cast<std::size_t>(i)];
-                const isa::Addr cell_addr =
-                    img.ss + static_cast<isa::Addr>(i) * 8;
-
-                // h = p + *pwaa++ (update-form halfword load).
-                Reg r_w = t.load(
-                    row_addr + static_cast<isa::Addr>(i) * 2, 2,
-                    {r_row});
-                Reg r_h = t.alu({r_p, r_w});
-                int h = p + pwaa[i];
-
-                // e = ssj->E; p = ssj->H (two loads).
-                Reg r_e = t.load(cell_addr + 4, 4, {r_ss});
-                r_p = t.load(cell_addr, 4, {r_ss});
-                int e = ssj.e;
-                p = ssj.h;
-
-                // F path: if (f > 0) { h = max(h, f); f -= ext; }
-                t.alu({r_f});              // cmpwi f, 0
-                t.branch(f > 0, {r_f});
-                if (f > 0) {
-                    r_h = t.alu({r_h, r_f});   // max via cmp+isel
-                    r_f = t.alu({r_f});        // f -= gap_ext
-                    if (h < f)
-                        h = f;
-                    f -= gap_ext;
-                }
-
-                // E path: if (e > 0) { h = max(h, e); e -= ext; }
-                t.alu({r_e});              // cmpwi e, 0
-                t.branch(e > 0, {r_e});
-                if (e > 0) {
-                    r_h = t.alu({r_h, r_e});
-                    r_e = t.alu({r_e});
-                    if (h < e)
-                        h = e;
-                    e -= gap_ext;
-                }
-
-                // H path with computation avoidance.
-                t.alu({r_h});              // cmpwi h, 0
-                t.branch(h > 0, {r_h});
-                if (h > 0) {
-                    t.branch(h > best, {r_h, r_best});
-                    if (h > best) {
-                        r_best = t.alu({r_h}); // mr best, h
-                        best = h;
-                    }
-                    Reg r_open = t.alu({r_h}); // open = h - ngap_init
-                    const int open = h - ngap_init;
-                    r_e = t.alu({r_open, r_e}); // e = max(e, open)
-                    r_f = t.alu({r_open, r_f}); // f = max(f, open)
-                    if (open > e)
-                        e = open;
-                    if (open > f)
-                        f = open;
-                    ssj.h = h;
-                } else {
-                    r_h = t.alu(); // li h, 0
-                    ssj.h = 0;
-                }
-
-                // ssj->H = h; ssj->E = max(e, 0); ssj++.
-                t.store(cell_addr, 4, r_h, {r_ss});
-                t.store(cell_addr + 4, 4, r_e, {r_ss});
-                ssj.e = e > 0 ? e : 0;
-                if (f < 0)
-                    f = 0;
-                r_ss = t.alu({r_ss}); // addi ssj, 8
-                t.branch(i + 1 < m, {r_ss}); // bdnz inner loop
-            }
-            db_ptr = t.alu({db_ptr}); // advance subject pointer
-            t.branch(j + 1 < n, {db_ptr, len}); // outer loop
-        }
-
-        run.scores.push_back(best);
-        seq_base += static_cast<isa::Addr>(n);
+    for (const bio::Sequence &subject : input.db) {
+        policy.sequence(seq_base);
+        run.scores.push_back(
+            align::ssearchScan(profile, subject, gaps, nullptr, policy)
+                .score);
+        seq_base += static_cast<isa::Addr>(subject.length());
         t.jump(); // return to the database-scan driver
     }
 

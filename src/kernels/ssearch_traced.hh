@@ -1,10 +1,10 @@
 /**
  * @file
- * Instrumented twin of the SSEARCH34 scalar Smith-Waterman kernel.
+ * Traced SSEARCH34 scalar Smith-Waterman kernel.
  *
- * Runs the exact dropgsw-style inner loop of align::ssearchScan on
- * the real data while emitting the corresponding PowerPC-like
- * instruction stream: three loads, two stores, ~6 integer ALU ops
+ * Runs the dropgsw-style inner loop of align::ssearchScan itself
+ * (align/ssearch_impl.hh) on the real data, under a trace policy
+ * that emits the corresponding PowerPC-like instruction stream: three loads, two stores, ~6 integer ALU ops
  * and 3-5 data-dependent conditional branches per DP cell — the
  * profile that makes SSEARCH 44% ALU / 25% control in the paper's
  * Fig. 1, and branch-bound in its Fig. 2/9.

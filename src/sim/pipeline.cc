@@ -125,7 +125,7 @@ MachineState::warm(const trace::TraceView &window)
     // D-side hierarchy access per memory op. Warmup accesses land
     // on the state's own statistics counters; runWindow() measures
     // against a baseline, so they never leak into window stats.
-    std::uint64_t last_line = ~std::uint64_t{0};
+    std::uint64_t last_line = _il1Line;
     std::visit(
         [&](auto &predictor) {
             using P = std::decay_t<decltype(predictor)>;
@@ -156,6 +156,7 @@ MachineState::warm(const trace::TraceView &window)
             }
         },
         _predictor);
+    _il1Line = last_line;
 }
 
 std::uint64_t
@@ -165,6 +166,7 @@ MachineState::stateDigest() const
     fnv.update64(_dmem.stateDigest());
     fnv.update64(_imem.stateDigest());
     fnv.update64(_btb.stateDigest());
+    fnv.update64(_il1Line);
     fnv.update64(static_cast<std::uint64_t>(_predictor.index()));
     fnv.update64(std::visit(
         [](const auto &p) { return p.stateDigest(); }, _predictor));
@@ -1367,6 +1369,7 @@ Simulator::runImpl(const trace::TraceView &tr, Predictor &predictor,
     stats.branchPredictions = branch_predictions;
     stats.branchMispredictions = branch_mispredictions;
     stats.btbMisses = btb.misses() - base_btb_misses;
+    state._il1Line = last_fetch_line;
     return stats;
 }
 

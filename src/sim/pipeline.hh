@@ -179,6 +179,12 @@ class MachineState
     /** log2 of the IL1 line size (power of two), so the per-
      * instruction line check in warm() is a shift. */
     int _il1LineShift = 7;
+    /** IL1 line of the last instruction fetch (~0: none yet).
+     * warm() fetches once per line change and carries this across
+     * calls, so warming a stream in pieces fetches exactly what one
+     * call over the whole stream does; runWindow() leaves it at the
+     * last line its fetch stage touched. */
+    std::uint64_t _il1Line = ~std::uint64_t{0};
 };
 
 /**

@@ -159,32 +159,10 @@ warmCheckpoints(const trace::Trace &trace, const SimConfig &machine,
 {
     if (stops.empty())
         return 0;
-    // warm() fetches an IL1 line on its first instruction and then
-    // once per line change, so a call that resumes mid-line makes
-    // one fetch that a single long call would not: a hit on the
-    // line already most recent, which leaves every later miss the
-    // same but moves the instruction side's counters and LRU
-    // clock. While the resumed stream stays on that line, nothing
-    // else reaches the instruction side, so the pass restores it
-    // from a copy at the first line change and the walk is exact.
-    const int line_shift = std::countr_zero(static_cast<unsigned>(
-        std::max(1, machine.memory.il1.lineBytes)));
-    const auto line = [&](std::uint64_t i) {
-        return trace[i].byteAddress() >> line_shift;
-    };
     MachineState pass(machine);
     std::uint64_t at = 0;
     for (std::size_t k = 0; k < stops.size(); ++k) {
         const std::uint64_t stop = stops[k];
-        if (at > 0 && at < stop && line(at - 1) == line(at)) {
-            std::uint64_t end = at + 1;
-            while (end < stop && line(end) == line(at))
-                ++end;
-            const InstrHierarchy imem = pass.instrHierarchy();
-            pass.warm(trace.subspan(at, end - at));
-            pass.instrHierarchy() = imem;
-            at = end;
-        }
         pass.warm(trace.subspan(at, stop - at));
         at = stop;
         if (k + 1 == stops.size())

@@ -1,13 +1,14 @@
 /**
  * @file
- * The Tracer: an emission API that instrumented workload twins use
- * to produce dynamic instruction traces while doing the real
+ * The Tracer: an emission API that the traced kernels use to
+ * produce dynamic instruction traces while doing the real
  * computation.
  *
  * This is our substitute for the paper's Aria/MET tracing of
- * compiled PowerPC binaries. A traced kernel mirrors each
- * conceptual machine operation of the real inner loop with one
- * Tracer call; the Tracer assigns
+ * compiled PowerPC binaries. A traced kernel runs the align/ scan
+ * body itself under a trace policy (align/<aligner>_impl.hh) whose
+ * hooks make one Tracer call per conceptual machine operation of
+ * the real inner loop; the Tracer assigns
  *
  *   - a stable static PC per textual call site (via
  *     std::source_location), so branch predictors and the I-cache

@@ -1,14 +1,13 @@
 /**
  * @file
- * Tests of the reference aligners: Needleman-Wunsch, Smith-Waterman
- * (score and traceback), and banded SW, including property tests
- * against each other on random sequences.
+ * Tests of the reference aligners: Smith-Waterman (score and
+ * traceback) and banded SW, including property tests against each
+ * other on random sequences.
  */
 
 #include <gtest/gtest.h>
 
 #include "align/banded.hh"
-#include "align/needleman_wunsch.hh"
 #include "align/smith_waterman.hh"
 #include "bio/random.hh"
 #include "bio/scoring.hh"
@@ -137,40 +136,6 @@ TEST(SmithWatermanAlign, IdentityAlignmentHasNoGaps)
     EXPECT_DOUBLE_EQ(a.identityFraction(), 1.0);
     EXPECT_EQ(a.queryStart, 0);
     EXPECT_EQ(a.queryEnd, 19);
-}
-
-TEST(NeedlemanWunsch, GlobalChargesEndGaps)
-{
-    // Global alignment of "AA" against "AAAA" pays for the 2-gap.
-    const bio::ScoringMatrix mm = bio::makeMatchMismatch(2, -1);
-    const int score = align::needlemanWunschScore(
-        seq("AA"), seq("AAAA"), mm, kGaps);
-    EXPECT_EQ(score, 2 * 2 - kGaps.cost(2));
-}
-
-TEST(NeedlemanWunsch, EqualSequencesScoreFullMatch)
-{
-    const Sequence s = seq("ACDEFGHIKL");
-    int self = 0;
-    for (std::size_t i = 0; i < s.length(); ++i)
-        self += kMat.score(s[i], s[i]);
-    EXPECT_EQ(align::needlemanWunschScore(s, s, kMat, kGaps), self);
-}
-
-TEST(NeedlemanWunsch, GlobalNeverExceedsLocal)
-{
-    bio::Rng rng(77);
-    for (int t = 0; t < 50; ++t) {
-        const Sequence a = bio::makeRandomSequence(
-            rng, static_cast<int>(10 + rng.below(60)));
-        const Sequence b = bio::makeRandomSequence(
-            rng, static_cast<int>(10 + rng.below(60)));
-        const int global =
-            align::needlemanWunschScore(a, b, kMat, kGaps);
-        const int local =
-            align::smithWatermanScore(a, b, kMat, kGaps).score;
-        EXPECT_LE(global, local);
-    }
 }
 
 TEST(Banded, FullWidthBandEqualsFullSmithWaterman)

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the blastn instrumented twin and the remaining traced
+ * Tests for the traced blastn kernel and the remaining traced
  * lane variants: score equality with the library implementations
  * and the expected memory character.
  */

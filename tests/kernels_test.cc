@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the instrumented kernel twins: every twin must compute
- * exactly the same scores as its untraced library counterpart (the
- * trace really is the algorithm), and the traces must reproduce the
+ * Tests for the traced kernels: every kernel must compute exactly
+ * the same scores as its untraced library counterpart (the trace
+ * really is the algorithm), and the traces must reproduce the
  * paper's instruction-mix and size characteristics (Fig. 1,
  * Table III) in shape.
  */

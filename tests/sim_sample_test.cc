@@ -380,8 +380,8 @@ TEST(SampleCheckpoint, ContinuationIsUnaffectedBySnapshotCycle)
  * The sampler's checkpoint pass against the plain reference it
  * replaces: at every chunk start of a full-prefix plan, the pass's
  * state digest-matches a cold state given one warm() over [0,
- * begin). warm() starts every call with a fresh IL1 line, so a
- * stream broken mid-line fetches once more than one long call;
+ * begin). warm() carries the last fetched IL1 line across calls,
+ * so a stream broken mid-line must not fetch that line again;
  * FASTA34 and BLAST spend most of their instructions in runs on a
  * single line, so their chunk starts land mid-line and pin that
  * the pass's split calls leave the instruction side unperturbed.
