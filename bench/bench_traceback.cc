@@ -1,11 +1,13 @@
 /**
  * @file
- * Traceback-tier harness: the cells/sec of the two reporting
- * kernels — Hirschberg's O(min(m, n))-space divide-and-conquer
- * local traceback and the banded X-drop gapped extension with its
- * per-cell direction bytes — followed by the end-to-end cost of
- * the serving tier's phase 2 (score -> align -> report) at
- * top-K 10 and 100 on the reference Zipf workload.
+ * Traceback-tier harness: the cells/sec of the reporting kernels
+ * — Hirschberg's O(min(m, n))-space divide-and-conquer local
+ * traceback, the banded X-drop gapped extension with its per-cell
+ * direction bytes, and the SIMD-anchored traceback the serving
+ * tier runs for the Smith-Waterman kinds (given the scan's score
+ * and end column, as in serving) — followed by the end-to-end
+ * cost of the serving tier's phase 2 (score -> align -> report)
+ * at top-K 10 and 100 on the reference Zipf workload.
  *
  * Every alignment produced here is replayed through the
  * cigarScore() oracle; a CIGAR that does not reproduce its
@@ -20,11 +22,13 @@
 #include <cstdlib>
 #include <iostream>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "align/traceback/banded_extend.hh"
 #include "align/traceback/cigar.hh"
 #include "align/traceback/hirschberg.hh"
+#include "align/traceback/native_traceback.hh"
 #include "bench_common.hh"
 #include "bio/random.hh"
 #include "bio/synthetic.hh"
@@ -149,6 +153,36 @@ main()
         }
     }
 
+    // Arm 3: SIMD-anchored traceback from what the scan knows
+    // (score and end column), each query's profile built once.
+    std::vector<std::unique_ptr<align::NativeQueryProfile>> profiles;
+    std::vector<align::LocalScore> hits;
+    for (const Pair &p : pairs) {
+        profiles.push_back(std::make_unique<align::NativeQueryProfile>(
+            p.q, matrix, align::defaultScanBackend()));
+        hits.push_back(
+            align::swStripedNativeScan(*profiles.back(), p.s, gaps));
+    }
+    align::TracebackStats nstats;
+    double native_ms = std::numeric_limits<double>::infinity();
+    for (int r = 0; r < rounds; ++r) {
+        align::TracebackStats stats;
+        const double ms = wallMsOf([&] {
+            for (std::size_t i = 0; i < pairs.size(); ++i) {
+                const align::CigarAlignment aln =
+                    align::nativeTraceback(
+                        *profiles[i], pairs[i].s.residues().data(),
+                        pairs[i].s.length(), hits[i], gaps, &stats);
+                if (r == 0)
+                    check(aln, pairs[i]);
+            }
+        });
+        if (ms < native_ms) {
+            native_ms = ms;
+            nstats = stats;
+        }
+    }
+
     const auto mcups = [](std::uint64_t cells, double ms) {
         return ms <= 0.0
             ? 0.0
@@ -224,6 +258,12 @@ main()
     t.row().add("banded cells").add(bstats.totalCells);
     t.row().add("banded mcups").add(
         mcups(bstats.totalCells, banded_ms), 1);
+    t.row().add("native ms").add(native_ms, 2);
+    t.row().add("native cells").add(nstats.totalCells);
+    t.row().add("native hirschberg fallbacks")
+        .add(nstats.hirschbergPaths);
+    t.row().add("native speedup vs hirschberg")
+        .add(hirschberg_ms / native_ms, 2);
     for (const PhaseCost &c : costs) {
         const std::string k = std::to_string(c.topK);
         t.row().add("topK=" + k + " score-only ms")
@@ -242,10 +282,12 @@ main()
         std::cerr << "FAIL: a CIGAR did not replay to its "
                      "reported score\n";
 
-    std::vector<double> point_ms = {hirschberg_ms, banded_ms};
+    std::vector<double> point_ms = {hirschberg_ms, banded_ms,
+                                    native_ms};
+    const double arms_ms = hirschberg_ms + banded_ms + native_ms;
     bench::printJsonFooter(
-        "bench_traceback", bench::jobs(), pairs.size(),
-        hirschberg_ms + banded_ms, hirschberg_ms + banded_ms,
+        "bench_traceback", bench::jobs(), pairs.size(), arms_ms,
+        arms_ms,
         {{"hirschberg_ms", std::to_string(hirschberg_ms)},
          {"hirschberg_cells",
           std::to_string(hstats.totalCells)},
@@ -258,6 +300,12 @@ main()
          {"banded_cells", std::to_string(bstats.totalCells)},
          {"banded_mcups",
           std::to_string(mcups(bstats.totalCells, banded_ms))},
+         {"native_ms", std::to_string(native_ms)},
+         {"native_cells", std::to_string(nstats.totalCells)},
+         {"native_fallbacks",
+          std::to_string(nstats.hirschbergPaths)},
+         {"native_speedup",
+          std::to_string(hirschberg_ms / native_ms)},
          {"topk10_score_ms", std::to_string(costs[0].scoreMs)},
          {"topk10_report_ms", std::to_string(costs[0].reportMs)},
          {"topk10_overhead_pct",

@@ -193,13 +193,13 @@ blastAlign(const NeighborhoodIndex &index, const bio::Sequence &query,
     const GappedWindow win =
         gappedWindow(hsp.bestExt, hsp.bestDiag, m, n,
                      params.gappedWindowMargin);
-    const bio::Sequence qw =
-        detail::window(query, win.queryLo, win.queryHi);
-    const bio::Sequence sw =
-        detail::window(subject, win.subjectLo, win.subjectHi);
-    out = bandedExtendAlign(qw, sw, matrix, gaps, win.center,
-                            params.bandHalfWidth, x_drop_gapped,
-                            stats);
+    out = bandedExtendAlign(
+        query.residues().data() + win.queryLo,
+        static_cast<std::size_t>(win.queryHi - win.queryLo + 1),
+        subject.residues().data() + win.subjectLo,
+        static_cast<std::size_t>(win.subjectHi - win.subjectLo + 1),
+        matrix, gaps, win.center, params.bandHalfWidth, x_drop_gapped,
+        stats);
     if (cells && stats)
         *cells += stats->totalCells;
     if (out.empty())

@@ -142,14 +142,14 @@ blastnAlign(const DnaWordIndex &index, const bio::PackedDna &query,
     // bit-identical to blastnScan's.
     const bio::Sequence qw =
         detail::decode(query, win.queryLo, win.queryHi);
-    const bio::Sequence sw =
-        residueWindow(subject, win.subjectLo, win.subjectHi);
     const bio::ScoringMatrix mm = bio::makeMatchMismatch(
         params.matchScore, params.mismatchScore);
     const bio::GapPenalties gaps{params.gapOpen, params.gapExtend};
-    out = bandedExtendAlign(qw, sw, mm, gaps, win.center,
-                            params.bandHalfWidth, x_drop_gapped,
-                            stats);
+    out = bandedExtendAlign(
+        qw.residues().data(), qw.length(), subject + win.subjectLo,
+        static_cast<std::size_t>(win.subjectHi - win.subjectLo + 1),
+        mm, gaps, win.center, params.bandHalfWidth, x_drop_gapped,
+        stats);
     if (cells && stats)
         *cells += stats->totalCells;
     if (out.empty())

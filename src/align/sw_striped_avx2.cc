@@ -1,9 +1,10 @@
 /**
  * @file
  * The only translation unit compiled with -mavx2: the AVX2 kernel
- * instantiations (striped u8/i16 and inter-sequence u8), reached
- * through plain function pointers so the rest of the library stays
- * at the baseline ISA and dispatch is guarded by runtime CPUID
+ * instantiations (striped u8/i16, the traceback's i16 end pass and
+ * inter-sequence u8), reached through plain function pointers so
+ * the rest of the library stays at the baseline ISA and dispatch
+ * is guarded by runtime CPUID
  * (sw_striped_native.cc / sw_intersequence_native.cc).
  */
 
@@ -36,6 +37,15 @@ scanI16Avx2(const std::int16_t *profile, int seg,
 {
     return stripedScanI16<vec::native::Avx2I16>(
         profile, seg, subject, n, open_cost, ext_cost, saturated);
+}
+
+LocalScore
+endI16Avx2(const std::int16_t *profile, int seg,
+           const bio::Residue *subject, std::size_t n, int open_cost,
+           int ext_cost, int target)
+{
+    return stripedEndI16<vec::native::Avx2I16>(
+        profile, seg, subject, n, open_cost, ext_cost, target);
 }
 
 void

@@ -156,14 +156,46 @@ defaultScanBackend()
     return bestNativeBackend();
 }
 
+StripedProfile16
+makeStripedProfile16(const bio::Residue *query, int m,
+                     const bio::ScoringMatrix &matrix,
+                     SimdBackend backend)
+{
+    StripedProfile16 out;
+    if (m == 0)
+        return out;
+    const int l16 = lanes16(backend);
+    out.seg = (m + l16 - 1) / l16;
+    out.scores = vec::native::allocateAligned<std::int16_t>(
+        static_cast<std::size_t>(bio::Alphabet::numSymbols)
+        * static_cast<std::size_t>(out.seg)
+        * static_cast<std::size_t>(l16));
+    for (int r = 0; r < bio::Alphabet::numSymbols; ++r) {
+        const bio::Residue res = static_cast<bio::Residue>(r);
+        std::int16_t *row = out.scores.get()
+            + static_cast<std::size_t>(r)
+                * static_cast<std::size_t>(out.seg)
+                * static_cast<std::size_t>(l16);
+        for (int s = 0; s < out.seg; ++s) {
+            for (int l = 0; l < l16; ++l) {
+                const int p = s + l * out.seg;
+                row[s * l16 + l] = p < m
+                    ? static_cast<std::int16_t>(
+                          matrix.score(res, query[p]))
+                    : NativeQueryProfile::padScore;
+            }
+        }
+    }
+    return out;
+}
+
 NativeQueryProfile::NativeQueryProfile(
     const bio::Sequence &query, const bio::ScoringMatrix &matrix,
     SimdBackend backend)
     : _query(&query), _matrix(&matrix),
       _backend(backend == SimdBackend::Model ? bestNativeBackend()
                                              : backend),
-      _m(static_cast<int>(query.length())), _bias(0), _seg8(0),
-      _seg16(0)
+      _m(static_cast<int>(query.length())), _bias(0), _seg8(0)
 {
     if (_m == 0)
         return;
@@ -171,28 +203,8 @@ NativeQueryProfile::NativeQueryProfile(
     const int min_score = matrix.minScore();
     _bias = min_score < 0 ? -min_score : 0;
 
-    const int l16 = lanes16(_backend);
-    _seg16 = (_m + l16 - 1) / l16;
-    _i16 = vec::native::allocateAligned<std::int16_t>(
-        static_cast<std::size_t>(bio::Alphabet::numSymbols)
-        * static_cast<std::size_t>(_seg16)
-        * static_cast<std::size_t>(l16));
-    for (int r = 0; r < bio::Alphabet::numSymbols; ++r) {
-        const bio::Residue res = static_cast<bio::Residue>(r);
-        std::int16_t *row = _i16.get()
-            + static_cast<std::size_t>(r)
-                * static_cast<std::size_t>(_seg16)
-                * static_cast<std::size_t>(l16);
-        for (int s = 0; s < _seg16; ++s) {
-            for (int l = 0; l < l16; ++l) {
-                const int p = s + l * _seg16;
-                row[s * l16 + l] =
-                    p < _m ? static_cast<std::int16_t>(
-                        matrix.score(res, query[p]))
-                           : padScore;
-            }
-        }
-    }
+    _p16 = makeStripedProfile16(query.residues().data(), _m, matrix,
+                                _backend);
 
     // The 8-bit level only exists when a biased score fits a byte.
     // Today's int8 score tables always do (bias <= 128, max <= 127);
@@ -257,6 +269,9 @@ LocalScore scanI16Avx2(const std::int16_t *profile, int seg,
                        const bio::Residue *subject, std::size_t n,
                        int open_cost, int ext_cost,
                        bool *saturated);
+LocalScore endI16Avx2(const std::int16_t *profile, int seg,
+                      const bio::Residue *subject, std::size_t n,
+                      int open_cost, int ext_cost, int target);
 } // namespace detail
 #endif
 
@@ -325,6 +340,37 @@ dispatchI16(SimdBackend backend, const std::int16_t *profile,
 }
 
 } // namespace
+
+LocalScore
+swStripedEnd16(SimdBackend backend, const StripedProfile16 &profile16,
+               const bio::Residue *subject, std::size_t n,
+               const bio::GapPenalties &gaps, int target)
+{
+    const std::int16_t *profile = profile16.scores.get();
+    const int seg = profile16.seg;
+    const int open_cost = gaps.openCost();
+    const int ext_cost = gaps.extendCost();
+    switch (backend) {
+#if BIOARCH_NATIVE_SIMD && defined(__SSE2__)
+    case SimdBackend::SSE2:
+        return detail::stripedEndI16<vec::native::Sse2I16>(
+            profile, seg, subject, n, open_cost, ext_cost, target);
+#endif
+#if BIOARCH_NATIVE_AVX2
+    case SimdBackend::AVX2:
+        return detail::endI16Avx2(profile, seg, subject, n,
+                                  open_cost, ext_cost, target);
+#endif
+#if BIOARCH_NATIVE_SIMD && defined(__ARM_NEON) && defined(__aarch64__)
+    case SimdBackend::NEON:
+        return detail::stripedEndI16<vec::native::NeonI16>(
+            profile, seg, subject, n, open_cost, ext_cost, target);
+#endif
+    default:
+        return detail::stripedEndI16<vec::native::PortableI16>(
+            profile, seg, subject, n, open_cost, ext_cost, target);
+    }
+}
 
 LocalScore
 swStripedNativeScan(const NativeQueryProfile &profile,

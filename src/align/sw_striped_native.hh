@@ -107,6 +107,24 @@ operator+=(NativeScanStats &a, const NativeScanStats &b)
 }
 
 /**
+ * A 16-bit striped score profile of one residue string, padded to
+ * the backend's i16 lane count and 64-byte aligned:
+ * scores[residue][segment][lane] = matrix(residue, query[s + lane *
+ * seg]), pad rows NativeQueryProfile::padScore.
+ */
+struct StripedProfile16
+{
+    vec::native::AlignedArray<std::int16_t> scores;
+    int seg = 0; ///< segment length, ceil(m / lanes)
+};
+
+/** Build the 16-bit striped profile of @p query[0..m). */
+StripedProfile16 makeStripedProfile16(const bio::Residue *query,
+                                      int m,
+                                      const bio::ScoringMatrix &matrix,
+                                      SimdBackend backend);
+
+/**
  * Striped query profile for one native backend: the 8-bit biased
  * and 16-bit raw score layouts, both padded to the backend's lane
  * count and 64-byte aligned. Built once per query and shared
@@ -133,9 +151,11 @@ class NativeQueryProfile
     bool hasU8() const { return _u8 != nullptr; }
 
     int segmentLength8() const { return _seg8; }
-    int segmentLength16() const { return _seg16; }
+    int segmentLength16() const { return _p16.seg; }
     const std::uint8_t *profile8() const { return _u8.get(); }
-    const std::int16_t *profile16() const { return _i16.get(); }
+    const std::int16_t *profile16() const { return _p16.scores.get(); }
+    /** The 16-bit level as a whole (the traceback's end pass). */
+    const StripedProfile16 &striped16() const { return _p16; }
     const bio::ScoringMatrix &matrix() const { return *_matrix; }
 
     /**
@@ -154,9 +174,8 @@ class NativeQueryProfile
     int _m;
     int _bias;
     int _seg8;
-    int _seg16;
+    StripedProfile16 _p16;
     vec::native::AlignedArray<std::uint8_t> _u8;
-    vec::native::AlignedArray<std::int16_t> _i16;
     vec::native::AlignedArray<std::uint8_t> _matT;
 };
 
@@ -200,6 +219,21 @@ LocalScore swStripedScan16Tail(const NativeQueryProfile &profile,
                                std::size_t n,
                                const bio::GapPenalties &gaps,
                                NativeScanStats *stats = nullptr);
+
+/**
+ * The traceback's end-cell pass (detail::stripedEndI16) on
+ * @p backend: a 16-bit striped local pass of the query profiled in
+ * @p profile16 over subject[0..n) that stops at the first column
+ * whose best cell reaches @p target. Returns the score reached
+ * (== target on success) with subjectEnd = that first column and
+ * queryEnd = the smallest row in it with H == target. @p target
+ * must be positive and below 32767, and the gap costs must fit
+ * 16-bit lanes.
+ */
+LocalScore swStripedEnd16(SimdBackend backend,
+                          const StripedProfile16 &profile16,
+                          const bio::Residue *subject, std::size_t n,
+                          const bio::GapPenalties &gaps, int target);
 
 } // namespace bioarch::align
 

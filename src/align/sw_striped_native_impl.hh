@@ -22,6 +22,11 @@
  *  - both levels detect saturation (8-bit: best >= 255-bias once
  *    adds can have clipped; 16-bit: best == INT16_MAX) so the
  *    caller can climb the overflow ladder.
+ *
+ * The same column pass, instantiated with a stop target, is the
+ * traceback's end-cell finder (stripedEndI16): it halts at the
+ * first column whose best cell reaches the target score and
+ * decodes the smallest query row holding it.
  */
 
 #ifndef BIOARCH_ALIGN_SW_STRIPED_NATIVE_IMPL_HH
@@ -29,6 +34,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -48,22 +54,53 @@ namespace bioarch::align::detail
 {
 
 /**
+ * Smallest striped row (p = s + lane * seg) whose H in @p column
+ * is at least @p target, or -1.
+ */
+template <class V, class Reg>
+int
+smallestRowAtLeast(const Reg *column, int seg, typename V::Elem target)
+{
+    using Elem = typename V::Elem;
+    constexpr int lanes = V::lanes;
+    int best_row = -1;
+    Elem values[lanes];
+    for (int s = 0; s < seg; ++s) {
+        std::memcpy(values, &column[static_cast<std::size_t>(s)],
+                    sizeof(values));
+        for (int l = 0; l < lanes; ++l) {
+            const int row = s + l * seg;
+            if (values[l] >= target
+                && (best_row < 0 || row < best_row))
+                best_row = row;
+        }
+    }
+    return best_row;
+}
+
+/**
  * One striped column pass + lazy-F correction, shared verbatim by
  * the 8-bit and 16-bit levels (the only asymmetry — bias handling —
  * is folded into @p v_bias, zero for the 16-bit level whose profile
  * stores raw scores).
+ *
+ * With @p Stop set the pass halts at the first column whose best
+ * cell reaches @p target and writes the smallest row there into
+ * @p target_row; the scans instantiate Stop = false and never test
+ * the target.
  *
  * @param profile [residue][segment][lane] scores, V::lanes wide
  * @param seg     segment length (ceil(m / V::lanes))
  * @return        best lane value seen anywhere, and the column it
  *                was first attained in
  */
-template <class V>
+template <class V, bool Stop = false>
 std::pair<typename V::Elem, int>
 stripedScanImpl(const typename V::Elem *profile, int seg,
                 const bio::Residue *subject, std::size_t n,
                 typename V::Elem open_cost, typename V::Elem ext_cost,
-                typename V::Elem bias)
+                typename V::Elem bias, typename V::Elem target = 0,
+                int *target_row = nullptr)
 {
     using Reg = typename V::Reg;
     using Elem = typename V::Elem;
@@ -204,6 +241,13 @@ stripedScanImpl(const typename V::Elem *profile, int seg,
         if (column_max > best) {
             best = column_max;
             best_column = static_cast<int>(j);
+            if constexpr (Stop) {
+                if (best >= target) {
+                    *target_row = smallestRowAtLeast<V>(
+                        h_store.data(), seg, target);
+                    break;
+                }
+            }
         }
     }
     return {best, best_column};
@@ -260,6 +304,39 @@ stripedScanI16(const std::int16_t *profile, int seg,
     LocalScore out;
     out.score = static_cast<int>(best) < 0 ? 0
                                            : static_cast<int>(best);
+    out.subjectEnd = column;
+    return out;
+}
+
+/**
+ * The traceback's end-cell pass: a 16-bit local pass over
+ * subject[0..n) that stops at the first column whose best cell
+ * reaches @p target (the known optimal score). Returns the score
+ * reached and, when it is @p target, the end cell: that first
+ * column and the smallest query row in it with H == target. Every
+ * real row's H is exact after the lazy-F correction, and a pad row
+ * (>= m) only reaches the target through a vertical gap from a
+ * real row of the same column, so the smallest row is always real.
+ * The caller keeps @p target below i16SaturationCeiling, so no
+ * lane ever saturates on the way.
+ */
+template <class V>
+LocalScore
+stripedEndI16(const std::int16_t *profile, int seg,
+              const bio::Residue *subject, std::size_t n,
+              int open_cost, int ext_cost, int target)
+{
+    int row = -1;
+    const auto [best, column] = stripedScanImpl<V, true>(
+        profile, seg, subject, n,
+        static_cast<std::int16_t>(open_cost),
+        static_cast<std::int16_t>(ext_cost),
+        static_cast<std::int16_t>(0),
+        static_cast<std::int16_t>(target), &row);
+    LocalScore out;
+    out.score = static_cast<int>(best) < 0 ? 0
+                                           : static_cast<int>(best);
+    out.queryEnd = row;
     out.subjectEnd = column;
     return out;
 }

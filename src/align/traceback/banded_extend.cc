@@ -30,14 +30,15 @@ enum : std::uint8_t
 } // namespace
 
 CigarAlignment
-bandedExtendAlign(const bio::Sequence &query,
-                  const bio::Sequence &subject,
+bandedExtendAlign(const bio::Residue *query, std::size_t query_len,
+                  const bio::Residue *subject,
+                  std::size_t subject_len,
                   const bio::ScoringMatrix &matrix,
                   const bio::GapPenalties &gaps, int center_diagonal,
                   int half_width, int x_drop, TracebackStats *stats)
 {
-    const int m = static_cast<int>(query.length());
-    const int n = static_cast<int>(subject.length());
+    const int m = static_cast<int>(query_len);
+    const int n = static_cast<int>(subject_len);
     const int open_cost = gaps.openCost();
     const int ext_cost = gaps.extendCost();
 
@@ -213,6 +214,20 @@ bandedExtendAlign(const bio::Sequence &query,
     for (const CigarOp &run : out.cigar)
         out.columns += run.len;
     return out;
+}
+
+CigarAlignment
+bandedExtendAlign(const bio::Sequence &query,
+                  const bio::Sequence &subject,
+                  const bio::ScoringMatrix &matrix,
+                  const bio::GapPenalties &gaps, int center_diagonal,
+                  int half_width, int x_drop, TracebackStats *stats)
+{
+    return bandedExtendAlign(query.residues().data(), query.length(),
+                             subject.residues().data(),
+                             subject.length(), matrix, gaps,
+                             center_diagonal, half_width, x_drop,
+                             stats);
 }
 
 } // namespace bioarch::align

@@ -33,11 +33,25 @@ namespace bioarch::align
  * (band semantics of banded.hh: cells with
  * |(subject - query) - center| <= half_width).
  *
+ * The raw-pointer form aligns any residue span in place (BLAST's
+ * gapped window, the SIMD-anchored traceback's begin-end window)
+ * without copying it into a Sequence.
+ *
  * @param x_drop stop scanning further subject columns once every
  *        in-band cell of a column scores more than this below the
  *        best cell seen; negative disables the cutoff (full band,
  *        scores bit-identical to bandedSmithWatermanScan)
  */
+CigarAlignment
+bandedExtendAlign(const bio::Residue *query, std::size_t query_len,
+                  const bio::Residue *subject,
+                  std::size_t subject_len,
+                  const bio::ScoringMatrix &matrix,
+                  const bio::GapPenalties &gaps, int center_diagonal,
+                  int half_width, int x_drop = -1,
+                  TracebackStats *stats = nullptr);
+
+/** Sequence-object convenience overload. */
 CigarAlignment
 bandedExtendAlign(const bio::Sequence &query,
                   const bio::Sequence &subject,

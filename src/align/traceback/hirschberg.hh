@@ -57,6 +57,13 @@ struct TracebackStats
 {
     std::uint64_t totalCells = 0; ///< DP cells evaluated
     std::uint64_t peakCells = 0;  ///< max live DP array elements
+    /** Local tracebacks emitted by the SIMD-anchored band. */
+    std::uint64_t simdPaths = 0;
+    /** Local tracebacks Hirschberg emitted (nativeTraceback's
+     * fallback, or serving without hardware SIMD). */
+    std::uint64_t hirschbergPaths = 0;
+    /** Band doublings nativeTraceback needed to reach the score. */
+    std::uint64_t bandDoublings = 0;
 
     TracebackStats &
     operator+=(const TracebackStats &other)
@@ -64,6 +71,9 @@ struct TracebackStats
         totalCells += other.totalCells;
         peakCells = peakCells > other.peakCells ? peakCells
                                                 : other.peakCells;
+        simdPaths += other.simdPaths;
+        hirschbergPaths += other.hirschbergPaths;
+        bandDoublings += other.bandDoublings;
         return *this;
     }
 };

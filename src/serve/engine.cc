@@ -66,6 +66,14 @@ Engine::Engine(const bio::SequenceDatabase &db, EngineConfig config)
     _mNativeStriped =
         &m.counter("native_striped_total", backend_label);
     _mTracebackCells = &m.counter("traceback_cells_total");
+    // Which algorithm emitted each Smith-Waterman/FASTA alignment
+    // (PreparedQuery::traceback): the SIMD-anchored band, or
+    // Hirschberg (nativeTraceback's fallback, or a build without
+    // hardware SIMD).
+    _mTracebackSimd =
+        &m.counter("traceback_path_total", "path=\"simd\"");
+    _mTracebackHirschberg =
+        &m.counter("traceback_path_total", "path=\"hirschberg\"");
     _mAlignments = &m.counter("serve_alignments_total");
     _mTracebacksSkipped =
         &m.counter("serve_tracebacks_skipped_total");
@@ -296,7 +304,7 @@ Engine::runBatch(const Request *requests, std::size_t count,
         for (std::size_t h = 0; h < out[r].hits.size(); ++h)
             trace_tasks.push_back(TraceTask{r, h});
     }
-    std::uint64_t traceback_cells = 0;
+    align::TracebackStats traced;
     std::uint64_t alignments_traced = 0;
     std::uint64_t tracebacks_skipped = 0;
     if (!trace_tasks.empty()) {
@@ -329,7 +337,7 @@ Engine::runBatch(const Request *requests, std::size_t count,
             ++alignments_traced;
             resp.tracebackCells += task_stats[i].totalCells;
             resp.tracebackUs += task_us[i];
-            traceback_cells += task_stats[i].totalCells;
+            traced += task_stats[i];
         }
     }
 
@@ -345,7 +353,9 @@ Engine::runBatch(const Request *requests, std::size_t count,
     _mNativeRescansScalar->inc(native.rescansScalar);
     _mNativeInterseq->inc(native.interSequence);
     _mNativeStriped->inc(native.striped);
-    _mTracebackCells->inc(traceback_cells);
+    _mTracebackCells->inc(traced.totalCells);
+    _mTracebackSimd->inc(traced.simdPaths);
+    _mTracebackHirschberg->inc(traced.hirschbergPaths);
     _mAlignments->inc(alignments_traced);
     _mTracebacksSkipped->inc(tracebacks_skipped);
     return out;

@@ -251,6 +251,8 @@ class Engine : public BatchServer
     obs::Counter *_mNativeInterseq;
     obs::Counter *_mNativeStriped;
     obs::Counter *_mTracebackCells;
+    obs::Counter *_mTracebackSimd;
+    obs::Counter *_mTracebackHirschberg;
     obs::Counter *_mAlignments;
     obs::Counter *_mTracebacksSkipped;
     obs::Histogram *_mTracebackUs;

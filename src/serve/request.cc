@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "align/traceback/hirschberg.hh"
+#include "align/traceback/native_traceback.hh"
 #include "bio/dna_workload.hh"
 #include "bio/random.hh"
 
@@ -21,6 +22,9 @@ PreparedQuery::PreparedQuery(const Request &request,
       _query(&request.query),
       _matrix(&matrix),
       _gaps(gaps),
+      _tracebackBackend(backend == align::SimdBackend::Model
+                            ? align::bestNativeBackend()
+                            : backend),
       _fasta(fasta),
       _blast(blast),
       _blastn(blastn)
@@ -114,37 +118,68 @@ PreparedQuery::scan(const bio::Sequence &subject,
     }
 }
 
+const align::NativeQueryProfile &
+PreparedQuery::tracebackProfile() const
+{
+    if (_native)
+        return *_native;
+    std::call_once(_tracebackOnce, [this] {
+        _tracebackNative = std::make_unique<align::NativeQueryProfile>(
+            *_query, *_matrix, _tracebackBackend);
+    });
+    return *_tracebackNative;
+}
+
 align::CigarAlignment
 PreparedQuery::traceback(const bio::Sequence &subject,
                          const align::SearchHit &hit,
                          align::TracebackStats *stats) const
 {
+    const bio::Residue *residues = subject.residues().data();
     switch (_kind) {
     case kernels::Workload::Blast:
         return align::blastAlign(*_neighborhood, *_query, subject,
                                  *_matrix, _gaps, _blast, nullptr,
                                  -1, stats);
     case kernels::Workload::Blastn:
-        return align::blastnAlign(*_dnaIndex, *_dnaQuery,
-                                  subject.residues().data(),
+        return align::blastnAlign(*_dnaIndex, *_dnaQuery, residues,
                                   subject.length(), _blastn,
                                   nullptr, -1, stats);
-    case kernels::Workload::Ssearch34:
-    case kernels::Workload::SwVmx128:
-    case kernels::Workload::SwVmx256:
-        // The scan already found the optimal end cell; anchor
-        // there and skip the forward end-pass.
-        return align::hirschbergAlignAnchored(
-            _query->residues().data(), _query->length(),
-            subject.residues().data(), subject.length(),
-            hit.queryEnd, hit.subjectEnd, *_matrix, _gaps, stats);
     default:
-        // FASTA: the ranked endpoint belongs to the heuristic
-        // band scan, not an exact SW argmax — run the full
-        // three-pass optimal local alignment.
-        return align::hirschbergAlign(*_query, subject, *_matrix,
-                                      _gaps, stats);
+        break;
     }
+    const bool fasta = _kind == kernels::Workload::Fasta34;
+    // Without hardware SIMD the striped passes run on the portable
+    // backend, several times slower than scalar Hirschberg
+    // (bench_traceback's native arm), so those builds keep it.
+    if (_tracebackBackend == align::SimdBackend::Portable) {
+        if (stats != nullptr)
+            ++stats->hirschbergPaths;
+        return fasta
+            ? align::hirschbergAlign(*_query, subject, *_matrix,
+                                     _gaps, stats)
+            : align::hirschbergAlignAnchored(
+                  _query->residues().data(), _query->length(),
+                  residues, subject.length(), hit.queryEnd,
+                  hit.subjectEnd, *_matrix, _gaps, stats);
+    }
+    const align::NativeQueryProfile &profile = tracebackProfile();
+    align::LocalScore anchor;
+    if (fasta) {
+        // The ranked score is the heuristic's, not the SW optimum:
+        // one native scan supplies the score and its column.
+        std::uint64_t cells = 0;
+        anchor = align::swStripedNativeScan(
+            profile, residues, subject.length(), _gaps, &cells);
+        if (stats != nullptr)
+            stats->totalCells += cells;
+    } else {
+        anchor.score = hit.score;
+        anchor.queryEnd = hit.queryEnd;
+        anchor.subjectEnd = hit.subjectEnd;
+    }
+    return align::nativeTraceback(profile, residues, subject.length(),
+                                  anchor, _gaps, stats);
 }
 
 align::LocalScore

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "align/blast.hh"
@@ -213,18 +214,24 @@ class PreparedQuery
 
     /**
      * Phase-2 traceback of one ranked subject: the CIGAR alignment
-     * behind @p hit. The Smith-Waterman kinds run the linear-space
-     * Hirschberg traceback anchored at the endpoint the score scan
-     * already reported — the forward end-pass is skipped and the
-     * score stays bit-identical to the ranked SW score (the anchor
-     * is an argmax cell of the same matrix). BLAST and BLASTN
-     * rerun their word scan and trace the banded gapped extension
-     * with the X-drop disabled (score bit-identical to their
-     * ranked gapped score). FASTA ranks by the heuristic
-     * max(opt, initn) but reports the optimal local alignment, so
-     * its alignment score may exceed the ranked score; the CIGAR
-     * still replays to exactly the alignment's own score. Never
-     * allocates a full DP matrix.
+     * behind @p hit. The Smith-Waterman kinds run the SIMD-anchored
+     * traceback (align/traceback/native_traceback.hh) from the
+     * ranked SW score and the end column the scan reported, so the
+     * alignment score is bit-identical to the ranked score. FASTA
+     * ranks by the heuristic max(opt, initn) but reports the
+     * optimal local alignment: one native striped scan of the
+     * subject gives its score and end column, then the same
+     * traceback runs; its alignment score may exceed the ranked
+     * score, and the CIGAR still replays to exactly its own score.
+     * Both use the query's native profile; where the scan did not
+     * need one (FASTA, the Model backend) it is built on the first
+     * traceback, so score-only requests never pay for it. On the
+     * portable backend (no hardware SIMD) both keep the scalar
+     * Hirschberg traceback instead, which is faster there. BLAST and
+     * BLASTN rerun their word scan and trace the banded gapped
+     * extension with the X-drop disabled (score bit-identical to
+     * their ranked gapped score). Never allocates a full DP matrix.
+     * Safe to call concurrently.
      */
     align::CigarAlignment
     traceback(const bio::Sequence &subject,
@@ -232,10 +239,15 @@ class PreparedQuery
               align::TracebackStats *stats = nullptr) const;
 
   private:
+    /** The native profile tracebacks use (see traceback()). */
+    const align::NativeQueryProfile &tracebackProfile() const;
+
     kernels::Workload _kind;
     const bio::Sequence *_query;
     const bio::ScoringMatrix *_matrix;
     bio::GapPenalties _gaps;
+    /** Native backend of the traceback (Model maps to the best). */
+    align::SimdBackend _tracebackBackend;
     align::FastaParams _fasta;
     align::BlastParams _blast;
     align::BlastnParams _blastn;
@@ -251,6 +263,11 @@ class PreparedQuery
     // Blastn: the query re-packed to 2 bits plus its word index.
     std::unique_ptr<bio::PackedDna> _dnaQuery;
     std::unique_ptr<align::DnaWordIndex> _dnaIndex;
+
+    // Traceback profile of the kinds whose scan builds no native
+    // profile (FASTA, Model-backend SW): made on first traceback.
+    mutable std::once_flag _tracebackOnce;
+    mutable std::unique_ptr<align::NativeQueryProfile> _tracebackNative;
 };
 
 /** Knobs of the deterministic synthetic request stream. */

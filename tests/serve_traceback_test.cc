@@ -173,10 +173,13 @@ TEST(TwoPhase, TracebackAccountingFlowsToMetrics)
 
     std::uint64_t cells = 0;
     std::uint64_t alignments = 0;
+    std::uint64_t native_alignments = 0;
     for (const serve::Response &r : got) {
         EXPECT_FALSE(r.deadlineExpired());
         cells += r.tracebackCells;
         alignments += r.alignments.size();
+        if (r.kind != kernels::Workload::Blast)
+            native_alignments += r.alignments.size();
     }
     EXPECT_GT(cells, 0u);
     EXPECT_EQ(engine.metrics().counterValue(
@@ -188,6 +191,16 @@ TEST(TwoPhase, TracebackAccountingFlowsToMetrics)
     EXPECT_EQ(engine.metrics().counterValue(
                   "serve_tracebacks_skipped_total"),
               0u);
+    // Every Smith-Waterman and FASTA alignment is counted on
+    // exactly one traceback path; BLAST traces its own band.
+    const std::uint64_t simd = engine.metrics().counterValue(
+        "traceback_path_total", "path=\"simd\"");
+    const std::uint64_t hirschberg = engine.metrics().counterValue(
+        "traceback_path_total", "path=\"hirschberg\"");
+    EXPECT_EQ(simd + hirschberg, native_alignments);
+    // Without hardware SIMD serving keeps Hirschberg throughout.
+    EXPECT_EQ(simd > 0,
+              engine.config().backend != align::SimdBackend::Portable);
     EXPECT_GT(engine.metrics()
                   .histogram("serve_traceback_us")
                   .summary()

@@ -11,11 +11,17 @@
  *  - bandedExtendAlign with the X-drop disabled scores
  *    bit-identically to the score-only banded scan;
  *  - blastAlign / blastnAlign reproduce exactly the score their
- *    score-only twins ranked by.
+ *    score-only twins ranked by;
+ *  - nativeTraceback (SIMD end/begin passes + doubling band) scores
+ *    bit-identically to smithWatermanScore on every compiled
+ *    backend, ends at the full matrix's first-column /
+ *    smallest-row argmax, and reports which path emitted it.
  */
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,9 +30,11 @@
 #include "align/blast.hh"
 #include "align/blastn.hh"
 #include "align/smith_waterman.hh"
+#include "align/sw_striped_native.hh"
 #include "align/traceback/banded_extend.hh"
 #include "align/traceback/cigar.hh"
 #include "align/traceback/hirschberg.hh"
+#include "align/traceback/native_traceback.hh"
 #include "bio/nucleotide.hh"
 #include "bio/random.hh"
 #include "bio/scoring.hh"
@@ -500,6 +508,257 @@ TEST(BlastnAlign, ScoreMatchesBlastnScanExactly)
         checkAlignment(aln, qs, ss, mm, gaps);
     }
     EXPECT_GT(traced, 10);
+}
+
+/**
+ * The full Smith-Waterman matrix's optimum and its first-column /
+ * smallest-row argmax: a column-major Gotoh sweep with strict '>'
+ * best updates (the oracle nativeTraceback's end cell must match).
+ */
+LocalScore
+firstColumnArgmax(const bio::Sequence &q, const bio::Sequence &s,
+                  const bio::ScoringMatrix &matrix,
+                  const bio::GapPenalties &gaps)
+{
+    const int m = static_cast<int>(q.length());
+    const int open = gaps.openCost();
+    const int ext = gaps.extendCost();
+    constexpr int neg = -(1 << 28);
+    std::vector<int> h_prev(static_cast<std::size_t>(m), 0);
+    std::vector<int> e(static_cast<std::size_t>(m), neg);
+    LocalScore best;
+    for (std::size_t j = 0; j < s.length(); ++j) {
+        int diag = 0; // H(i-1, j-1)
+        int above = 0; // H(i-1, j)
+        int f = neg;
+        for (int i = 0; i < m; ++i) {
+            const std::size_t si = static_cast<std::size_t>(i);
+            e[si] = std::max(h_prev[si] - open, e[si] - ext);
+            f = std::max(above - open, f - ext);
+            const int h = std::max(
+                {0, diag + matrix.score(q[si], s[j]), e[si], f});
+            diag = h_prev[si];
+            h_prev[si] = h;
+            above = h;
+            if (h > best.score) {
+                best.score = h;
+                best.queryEnd = i;
+                best.subjectEnd = static_cast<int>(j);
+            }
+        }
+    }
+    return best;
+}
+
+/**
+ * Run nativeTraceback on @p backend the way the serving tier does
+ * (score and end column from the native scan; with @p hinted false
+ * the end column is withheld) and check every contract.
+ */
+TracebackStats
+checkNativeTraceback(const bio::Sequence &q, const bio::Sequence &s,
+                     const bio::ScoringMatrix &matrix,
+                     const bio::GapPenalties &gaps,
+                     SimdBackend backend, bool hinted,
+                     const std::string &context)
+{
+    const NativeQueryProfile profile(q, matrix, backend);
+    LocalScore hit = swStripedNativeScan(profile, s, gaps);
+    const LocalScore oracle = firstColumnArgmax(q, s, matrix, gaps);
+    EXPECT_EQ(hit.score, smithWatermanScore(q, s, matrix, gaps).score)
+        << context;
+    EXPECT_EQ(oracle.score, hit.score) << context;
+    if (!hinted)
+        hit.subjectEnd = -1;
+
+    TracebackStats stats;
+    const CigarAlignment aln = nativeTraceback(
+        profile, s.residues().data(), s.length(), hit, gaps, &stats);
+    EXPECT_EQ(aln.score, oracle.score) << context;
+    EXPECT_EQ(stats.simdPaths + stats.hirschbergPaths, 1u) << context;
+    checkAlignment(aln, q, s, matrix, gaps);
+    if (oracle.score > 0) {
+        EXPECT_EQ(aln.qEnd, oracle.queryEnd) << context;
+        EXPECT_EQ(aln.sEnd, oracle.subjectEnd) << context;
+        EXPECT_GT(stats.totalCells, 0u) << context;
+    } else {
+        EXPECT_TRUE(aln.empty()) << context;
+    }
+    return stats;
+}
+
+TEST(NativeTraceback, MatchesOracleOnEveryBackend)
+{
+    const bio::ScoringMatrix &blosum = bio::blosum62();
+    const bio::ScoringMatrix dna = bio::makeMatchMismatch(2, -3);
+    const std::vector<bio::Sequence> table2 = bio::makeQuerySet();
+    for (const SimdBackend backend : compiledNativeBackends()) {
+        const std::string name(backendName(backend));
+        bio::Rng rng(0x5EED + static_cast<std::uint64_t>(backend));
+        std::uint64_t simd = 0;
+        int iter = 0;
+        // Table II queries against mutant homologs across the
+        // identity range, under every gap regime.
+        for (const bio::Sequence &q : table2) {
+            for (const bio::GapPenalties &gaps : extremeGaps()) {
+                const double identity = 0.35 + 0.1 * (iter % 6);
+                const bio::Sequence s =
+                    bio::mutate(rng, q, identity, "HOM", "");
+                const TracebackStats st = checkNativeTraceback(
+                    q, s, blosum, gaps, backend, iter % 3 != 0,
+                    name + " table2 " + std::to_string(iter));
+                simd += st.simdPaths;
+                ++iter;
+            }
+        }
+        // Unrelated protein pairs (score-0 and short local hits)
+        // and nucleotide pairs with a match/mismatch matrix.
+        for (int k = 0; k < 120; ++k, ++iter) {
+            const bio::GapPenalties &gaps =
+                extremeGaps()[static_cast<std::size_t>(k)
+                              % extremeGaps().size()];
+            const bool protein = k % 2 == 0;
+            const int m = 1 + static_cast<int>(rng.below(150));
+            const bio::Sequence q = protein
+                ? bio::makeRandomSequence(rng, m)
+                : randomDnaSeq(rng, m);
+            const bio::Sequence s = protein
+                ? bio::makeRandomSequence(
+                      rng, 1 + static_cast<int>(rng.below(150)))
+                : (k % 4 == 1 ? mutateDnaSeq(rng, q, 0.75)
+                              : randomDnaSeq(
+                                    rng, 1 + static_cast<int>(
+                                             rng.below(150))));
+            const TracebackStats st = checkNativeTraceback(
+                q, s, protein ? blosum : dna, gaps, backend,
+                k % 3 != 0, name + " random " + std::to_string(k));
+            simd += st.simdPaths;
+        }
+        // Repeats: a query holding one segment twice against a
+        // subject holding it once ties two rows of the end column
+        // at S (the smallest must win), and the mirror case ties
+        // two columns (the first must win).
+        for (int k = 0; k < 8; ++k, ++iter) {
+            const bio::Sequence motif = bio::makeRandomSequence(
+                rng, 10 + static_cast<int>(rng.below(30)));
+            const auto join = [&](std::initializer_list<int> parts) {
+                std::vector<bio::Residue> out;
+                for (const int len : parts) {
+                    const bio::Sequence piece = len < 0
+                        ? motif
+                        : bio::makeRandomSequence(rng, len);
+                    out.insert(out.end(), piece.residues().begin(),
+                               piece.residues().end());
+                }
+                return bio::Sequence("REP", "", std::move(out));
+            };
+            const bio::Sequence twice = join({5, -1, 40, -1, 5});
+            const bio::Sequence once = join({-1});
+            const bool rows_tie = k % 2 == 0;
+            const TracebackStats st = checkNativeTraceback(
+                rows_tie ? twice : once, rows_tie ? once : twice,
+                blosum, bio::GapPenalties{}, backend, k % 4 < 2,
+                name + " repeat " + std::to_string(k));
+            simd += st.simdPaths;
+        }
+        // The fuzz must exercise the band path, not only fallbacks.
+        EXPECT_GT(simd, static_cast<std::uint64_t>(iter) / 2) << name;
+    }
+}
+
+TEST(NativeTraceback, SaturatedScoreFallsBackToHirschberg)
+{
+    // 3100 tryptophans self-align to 3100 * 11 = 34100 > i16 range.
+    const bio::Sequence w("W", "",
+                          std::vector<bio::Residue>(
+                              3100, bio::Alphabet::encode('W')));
+    const bio::ScoringMatrix &matrix = bio::blosum62();
+    const bio::GapPenalties gaps;
+    const LocalScore hit = smithWatermanScore(w, w, matrix, gaps);
+    ASSERT_GT(hit.score, 32767);
+    const NativeQueryProfile profile(w, matrix, bestNativeBackend());
+    TracebackStats stats;
+    const CigarAlignment aln = nativeTraceback(
+        profile, w.residues().data(), w.length(), hit, gaps, &stats);
+    EXPECT_EQ(stats.hirschbergPaths, 1u);
+    EXPECT_EQ(stats.simdPaths, 0u);
+    EXPECT_EQ(aln.score, hit.score);
+    checkAlignment(aln, w, w, matrix, gaps);
+}
+
+TEST(NativeTraceback, LongIndelForcesBandDoubling)
+{
+    // A 60-residue deletion followed by a 60-residue insertion:
+    // the window is square (delta 0, first band +-16) but the path
+    // runs 60 diagonals off it in the middle.
+    bio::Rng rng(0x1DE1);
+    const bio::Sequence q = bio::makeRandomSequence(rng, 240);
+    const bio::Sequence filler = bio::makeRandomSequence(rng, 60);
+    std::vector<bio::Residue> s;
+    const auto &qr = q.residues();
+    s.insert(s.end(), qr.begin(), qr.begin() + 60);
+    s.insert(s.end(), qr.begin() + 120, qr.begin() + 180);
+    s.insert(s.end(), filler.residues().begin(),
+             filler.residues().end());
+    s.insert(s.end(), qr.begin() + 180, qr.end());
+    const bio::Sequence subject("INDEL", "", std::move(s));
+    for (const SimdBackend backend : compiledNativeBackends()) {
+        const TracebackStats st = checkNativeTraceback(
+            q, subject, bio::blosum62(), bio::GapPenalties{}, backend,
+            true, std::string(backendName(backend)));
+        EXPECT_EQ(st.simdPaths, 1u);
+        EXPECT_GE(st.bandDoublings, 1u);
+    }
+}
+
+TEST(NativeTraceback, OversizedBandFallsBackToHirschberg)
+{
+    // Near-free gaps let the optimum bridge a 9000-residue insert:
+    // the window is 600 x 9600, and even the first band (half-width
+    // 4516) needs ~86 MB of direction bytes, over the cap.
+    bio::Rng rng(0xCA9);
+    const bio::Sequence q = bio::makeRandomSequence(rng, 600);
+    const bio::Sequence filler = bio::makeRandomSequence(rng, 9000);
+    std::vector<bio::Residue> s(q.residues().begin(),
+                                q.residues().begin() + 300);
+    s.insert(s.end(), filler.residues().begin(),
+             filler.residues().end());
+    s.insert(s.end(), q.residues().begin() + 300, q.residues().end());
+    const bio::Sequence subject("GAP", "", std::move(s));
+    const TracebackStats st = checkNativeTraceback(
+        q, subject, bio::blosum62(), bio::GapPenalties{1, 0},
+        bestNativeBackend(), true, "oversized band");
+    EXPECT_EQ(st.hirschbergPaths, 1u);
+}
+
+TEST(NativeTraceback, DegenerateInputs)
+{
+    const bio::ScoringMatrix &matrix = bio::blosum62();
+    const bio::GapPenalties gaps;
+    const bio::Sequence empty("E", "", std::vector<bio::Residue>{});
+    const bio::Sequence w("W", "", std::vector<bio::Residue>{
+                                       bio::Alphabet::encode('W')});
+    const bio::Sequence p("P", "", std::vector<bio::Residue>{
+                                       bio::Alphabet::encode('P')});
+    ASSERT_LT(matrix.score(w[0], p[0]), 0);
+    for (const SimdBackend backend : compiledNativeBackends()) {
+        const std::string name(backendName(backend));
+        // Empty query or subject, and a score-0 pair: nothing to
+        // emit, answered without a fallback.
+        for (const auto &[q, s] :
+             {std::pair{&empty, &w}, std::pair{&w, &empty},
+              std::pair{&w, &p}}) {
+            const TracebackStats st = checkNativeTraceback(
+                *q, *s, matrix, gaps, backend, true, name);
+            EXPECT_EQ(st.simdPaths, 1u) << name;
+            EXPECT_EQ(st.totalCells, 0u) << name;
+        }
+        // Length 1: the first band already covers the 1 x 1 window.
+        const TracebackStats st = checkNativeTraceback(
+            w, w, matrix, gaps, backend, false, name);
+        EXPECT_EQ(st.simdPaths, 1u) << name;
+        EXPECT_EQ(st.bandDoublings, 0u) << name;
+    }
 }
 
 } // namespace
