@@ -21,6 +21,8 @@
 #include <limits>
 #include <string>
 
+#include "align/banded.hh"
+#include "align/banded_native.hh"
 #include "align/blast.hh"
 #include "align/fasta.hh"
 #include "align/smith_waterman.hh"
@@ -151,6 +153,46 @@ BM_BlastNeighborhoodBuild(benchmark::State &state)
     }
 }
 BENCHMARK(BM_BlastNeighborhoodBuild)->Unit(benchmark::kMillisecond);
+
+/**
+ * FASTA's opt band (its half-width, around the main diagonal) over
+ * the database: the SIMD band kernel on the best native backend
+ * against the scalar band. GCUPS counts in-band cells, as the
+ * scan's cell counter does.
+ */
+void
+BM_BandedScan(benchmark::State &state, bool native)
+{
+    const int hw = align::FastaParams{}.bandHalfWidth;
+    const bio::Sequence &q = query();
+    const int m = static_cast<int>(q.length());
+    const align::BandProfile profile(q.residues().data(), m, kMat,
+                                     align::bestNativeBackend());
+    std::uint64_t cells = 0;
+    for (auto _ : state) {
+        int best = 0;
+        for (const bio::Sequence &s : database()) {
+            const int n = static_cast<int>(s.length());
+            const int score = native
+                ? align::bandedScoreNative(profile, 0, m,
+                                           s.residues().data(), n,
+                                           kGaps, 0, hw)
+                      .value_or(-1)
+                : align::bandedSmithWaterman(q, s, kMat, kGaps, 0, hw)
+                      .score;
+            best = std::max(best, score);
+            cells += static_cast<std::uint64_t>(2 * hw + 1)
+                * static_cast<std::uint64_t>(n);
+        }
+        benchmark::DoNotOptimize(best);
+    }
+    state.counters["GCUPS"] = benchmark::Counter(
+        static_cast<double>(cells) / 1e9, benchmark::Counter::kIsRate);
+}
+BENCHMARK_CAPTURE(BM_BandedScan, native, true)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_BandedScan, scalar, false)
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_SwStripedNativeScan(benchmark::State &state,

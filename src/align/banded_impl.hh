@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "bio/scoring.hh"
@@ -25,16 +26,18 @@ namespace bioarch::align
 {
 
 /**
- * Banded Smith-Waterman around @p center_diagonal; see banded.hh for
- * the band semantics.
+ * Banded Smith-Waterman of query[0, m) against subject[0, n) around
+ * @p center_diagonal; see banded.hh for the band semantics. The
+ * raw-pointer form scores any residue span in place (BLAST's gapped
+ * window) without copying it into a Sequence.
  *
  * @param hook callable invoked once per in-band cell as
  *        hook(i, j, h, e, f) with the freshly computed cell values
  */
 template <typename CellHook>
 LocalScore
-bandedSmithWatermanScan(const bio::Sequence &query,
-                        const bio::Sequence &subject,
+bandedSmithWatermanScan(const bio::Residue *query, int m,
+                        const bio::Residue *subject, int n,
                         const bio::ScoringMatrix &matrix,
                         const bio::GapPenalties &gaps,
                         int center_diagonal, int half_width,
@@ -42,8 +45,6 @@ bandedSmithWatermanScan(const bio::Sequence &query,
 {
     constexpr int neg_inf = std::numeric_limits<int>::min() / 4;
 
-    const int m = static_cast<int>(query.length());
-    const int n = static_cast<int>(subject.length());
     const int open_cost = gaps.openCost();
     const int ext_cost = gaps.extendCost();
 
@@ -106,6 +107,23 @@ bandedSmithWatermanScan(const bio::Sequence &query,
         }
     }
     return best;
+}
+
+/** bandedSmithWatermanScan over two whole Sequences. */
+template <typename CellHook>
+LocalScore
+bandedSmithWatermanScan(const bio::Sequence &query,
+                        const bio::Sequence &subject,
+                        const bio::ScoringMatrix &matrix,
+                        const bio::GapPenalties &gaps,
+                        int center_diagonal, int half_width,
+                        CellHook &&hook)
+{
+    return bandedSmithWatermanScan(
+        query.residues().data(), static_cast<int>(query.length()),
+        subject.residues().data(), static_cast<int>(subject.length()),
+        matrix, gaps, center_diagonal, half_width,
+        std::forward<CellHook>(hook));
 }
 
 } // namespace bioarch::align

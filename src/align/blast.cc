@@ -161,9 +161,10 @@ BlastScores
 blastScan(const NeighborhoodIndex &index, const bio::Sequence &query,
           const bio::Sequence &subject, const bio::ScoringMatrix &matrix,
           const bio::GapPenalties &gaps, const BlastParams &params,
-          std::uint64_t *cells)
+          std::uint64_t *cells, const BandProfile *band,
+          NativeScanStats *stats)
 {
-    BlastNoTrace none;
+    BlastNoTrace none{band, stats};
     return blastScan(index, query, subject, matrix, gaps, params, cells,
                      none);
 }
@@ -219,13 +220,15 @@ blastSearch(const bio::Sequence &query, const bio::SequenceDatabase &db,
 {
     SearchResults out;
     const NeighborhoodIndex index(query, matrix, params);
+    const std::unique_ptr<BandProfile> band =
+        makeBandProfile(query, matrix, defaultScanBackend());
     const KarlinParams &ka = blosum62Karlin();
     const double total = static_cast<double>(db.totalResidues());
 
     for (std::size_t idx = 0; idx < db.size(); ++idx) {
         const BlastScores bs =
             blastScan(index, query, db[idx], matrix, gaps, params,
-                      &out.cellsComputed);
+                      &out.cellsComputed, band.get());
         ++out.sequencesSearched;
         const int score = std::max(bs.score, 0);
         if (score <= 0)

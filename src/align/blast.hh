@@ -172,6 +172,9 @@ struct BlastScores
     int score = 0;             ///< final (gapped) score; 0 if none
 };
 
+class BandProfile;
+struct NativeScanStats;
+
 /**
  * Run the BLAST word scan + extensions for one subject.
  *
@@ -182,6 +185,10 @@ struct BlastScores
  * @param gaps gap penalties for the gapped stage
  * @param params pipeline tunables
  * @param[out] cells optional work counter
+ * @param band the query's band profile (makeBandProfile): the
+ *        gapped stage runs the SIMD band kernel; nullptr runs the
+ *        scalar band. The scores are the same either way.
+ * @param[out] stats optional band path accounting
  */
 BlastScores blastScan(const NeighborhoodIndex &index,
                       const bio::Sequence &query,
@@ -189,7 +196,9 @@ BlastScores blastScan(const NeighborhoodIndex &index,
                       const bio::ScoringMatrix &matrix,
                       const bio::GapPenalties &gaps,
                       const BlastParams &params,
-                      std::uint64_t *cells = nullptr);
+                      std::uint64_t *cells = nullptr,
+                      const BandProfile *band = nullptr,
+                      NativeScanStats *stats = nullptr);
 
 /**
  * Phase-2 reporting twin of blastScan: rerun the word scan and

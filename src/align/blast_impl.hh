@@ -8,7 +8,11 @@
  * same bodies with a policy that emits the instruction pattern of
  * each hook, so the trace and the scores come from one pipeline.
  * Hooks only observe: they receive positions and branch outcomes
- * the body has already decided.
+ * the body has already decided. The one exception is the gapped
+ * stage's banded DP, which blastScan asks the policy to run
+ * (gappedBand): BlastNoTrace runs the SIMD band kernel, a traced
+ * policy the scalar band with its per-cell hook. Both return the
+ * same score.
  */
 
 #ifndef BIOARCH_ALIGN_BLAST_IMPL_HH
@@ -17,16 +21,22 @@
 #include <algorithm>
 #include <vector>
 
-#include "banded_impl.hh"
+#include "banded_native.hh"
 #include "blast.hh"
 #include "xdrop.hh"
 
 namespace bioarch::align
 {
 
-/** The BLASTP trace hooks, as no-ops. */
+/** The BLASTP trace hooks, as no-ops, and the score-only gapped
+ * band. */
 struct BlastNoTrace
 {
+    /** The query's band profile; nullptr runs the scalar band. */
+    const BandProfile *band = nullptr;
+    /** Optional band path accounting (bandSimd / bandScalar). */
+    NativeScanStats *stats = nullptr;
+
     /** The word scan starts. */
     void scan() {}
     /** Subject word @p word at position @p j; @p hits: its query
@@ -64,8 +74,18 @@ struct BlastNoTrace
     /** Gapped-stage gate; @p fires: the best HSP passed the gap
      * trigger. */
     void gapped(bool /*fires*/) {}
-    /** One banded gapped cell (bandedSmithWatermanScan's hook). */
-    void gappedCell(int /*i*/, int /*h*/, int /*f*/) {}
+    /** The gapped stage's banded DP: the score of query rows
+     * [qlo, qlo + m) against subject[0, n) (bandedScore). */
+    int
+    gappedBand(const bio::Residue *query, int qlo, int m,
+               const bio::Residue *subject, int n,
+               const bio::ScoringMatrix &matrix,
+               const bio::GapPenalties &gaps, int center,
+               int half_width)
+    {
+        return bandedScore(band, query, qlo, m, subject, n, matrix,
+                           gaps, center, half_width, stats);
+    }
 };
 
 /** ungappedExtend (blast.hh) with trace policy @p trace. */
@@ -217,17 +237,6 @@ hspScan(const NeighborhoodIndex &index, const bio::Sequence &query,
     return hsp;
 }
 
-/** Extract [lo, hi] of a sequence (for windowed gapped extension). */
-inline bio::Sequence
-window(const bio::Sequence &seq, int lo, int hi)
-{
-    const auto &res = seq.residues();
-    return bio::Sequence(
-        seq.id(), "window",
-        std::vector<bio::Residue>(
-            res.begin() + lo, res.begin() + hi + 1));
-}
-
 } // namespace detail
 
 /** blastScan (blast.hh) with trace policy @p trace. */
@@ -255,22 +264,19 @@ blastScan(const NeighborhoodIndex &index, const bio::Sequence &query,
         const GappedWindow win =
             gappedWindow(hsp.bestExt, hsp.bestDiag, m, n,
                          params.gappedWindowMargin);
-        const bio::Sequence qw =
-            detail::window(query, win.queryLo, win.queryHi);
-        const bio::Sequence sw =
-            detail::window(subject, win.subjectLo, win.subjectHi);
-        const LocalScore gapped = bandedSmithWatermanScan(
-            qw, sw, matrix, gaps, win.center, params.bandHalfWidth,
-            [&](int i, int, int h, int, int f) {
-                trace.gappedCell(i, h, f);
-            });
+        const int gapped = trace.gappedBand(
+            query.residues().data(), win.queryLo,
+            win.queryHi - win.queryLo + 1,
+            subject.residues().data() + win.subjectLo,
+            win.subjectHi - win.subjectLo + 1, matrix, gaps, win.center,
+            params.bandHalfWidth);
         if (cells) {
             *cells += static_cast<std::uint64_t>(
                           2 * params.bandHalfWidth + 1)
                 * static_cast<std::uint64_t>(
                           win.subjectHi - win.subjectLo + 1);
         }
-        out.score = std::max(gapped.score, 0);
+        out.score = std::max(gapped, 0);
     }
     return out;
 }

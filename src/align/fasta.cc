@@ -62,9 +62,10 @@ FastaScores
 fastaScan(const KtupIndex &index, const bio::Sequence &query,
           const bio::Sequence &subject, const bio::ScoringMatrix &matrix,
           const bio::GapPenalties &gaps, const FastaParams &params,
-          std::uint64_t *cells)
+          std::uint64_t *cells, const BandProfile *band,
+          NativeScanStats *stats)
 {
-    FastaNoTrace none;
+    FastaNoTrace none{band, stats};
     return fastaScan(index, query, subject, matrix, gaps, params, cells,
                      none);
 }
@@ -77,13 +78,15 @@ fastaSearch(const bio::Sequence &query, const bio::SequenceDatabase &db,
 {
     SearchResults out;
     const KtupIndex index(query, params.ktup);
+    const std::unique_ptr<BandProfile> band =
+        makeBandProfile(query, matrix, defaultScanBackend());
     const KarlinParams &ka = blosum62Karlin();
     const double total = static_cast<double>(db.totalResidues());
 
     for (std::size_t idx = 0; idx < db.size(); ++idx) {
         const FastaScores fs =
             fastaScan(index, query, db[idx], matrix, gaps, params,
-                      &out.cellsComputed);
+                      &out.cellsComputed, band.get());
         ++out.sequencesSearched;
         const int score = std::max(fs.opt, fs.initn);
         if (score <= 0)

@@ -106,6 +106,9 @@ struct FastaScores
     std::vector<FastaRegion> regions; ///< surviving initial regions
 };
 
+class BandProfile;
+struct NativeScanStats;
+
 /**
  * Run the FASTA stages for one subject sequence.
  *
@@ -116,13 +119,19 @@ struct FastaScores
  * @param gaps gap penalties (used by the opt stage)
  * @param params pipeline tunables
  * @param[out] cells optional work counter (diagonal cells + band)
+ * @param band the query's band profile (makeBandProfile): the opt
+ *        stage runs the SIMD band kernel; nullptr runs the scalar
+ *        band. The scores are the same either way.
+ * @param[out] stats optional band path accounting
  */
 FastaScores fastaScan(const KtupIndex &index, const bio::Sequence &query,
                       const bio::Sequence &subject,
                       const bio::ScoringMatrix &matrix,
                       const bio::GapPenalties &gaps,
                       const FastaParams &params,
-                      std::uint64_t *cells = nullptr);
+                      std::uint64_t *cells = nullptr,
+                      const BandProfile *band = nullptr,
+                      NativeScanStats *stats = nullptr);
 
 /** Full database search ranked by opt score / E-value. */
 SearchResults fastaSearch(const bio::Sequence &query,

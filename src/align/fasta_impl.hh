@@ -8,7 +8,10 @@
  * that emits the instruction pattern of each hook, so the trace and
  * the scores come from one pipeline. Hooks only observe: they
  * receive positions and branch outcomes the body has already
- * decided.
+ * decided. The one exception is the opt stage's banded DP, which
+ * the body asks the policy to run (optBand): FastaNoTrace runs the
+ * SIMD band kernel, a traced policy the scalar band with its
+ * per-cell hook. Both return the same score.
  */
 
 #ifndef BIOARCH_ALIGN_FASTA_IMPL_HH
@@ -17,15 +20,21 @@
 #include <algorithm>
 #include <vector>
 
-#include "banded_impl.hh"
+#include "banded_native.hh"
 #include "fasta.hh"
 
 namespace bioarch::align
 {
 
-/** The fastaScan trace hooks, as no-ops. */
+/** The fastaScan trace hooks, as no-ops, and the score-only opt
+ * band. */
 struct FastaNoTrace
 {
+    /** The query's band profile; nullptr runs the scalar band. */
+    const BandProfile *band = nullptr;
+    /** Optional band path accounting (bandSimd / bandScalar). */
+    NativeScanStats *stats = nullptr;
+
     /** Stage 2 (the word scan) starts. */
     void scan() {}
     /** Subject word @p word at position @p j; @p hits: its query
@@ -60,8 +69,17 @@ struct FastaNoTrace
     void chainRegion(bool /*joins*/) {}
     /** Stage 5 gate; @p runs: initn reached the opt threshold. */
     void opt(bool /*runs*/) {}
-    /** One banded opt cell (bandedSmithWatermanScan's hook). */
-    void optCell(int /*i*/, int /*h*/, int /*f*/) {}
+    /** Stage 5's banded DP: the opt score of query[0, m) against
+     * subject[0, n) (bandedScore). */
+    int
+    optBand(const bio::Residue *query, int m,
+            const bio::Residue *subject, int n,
+            const bio::ScoringMatrix &matrix,
+            const bio::GapPenalties &gaps, int center, int half_width)
+    {
+        return bandedScore(band, query, 0, m, subject, n, matrix, gaps,
+                           center, half_width, stats);
+    }
 };
 
 /**
@@ -257,13 +275,9 @@ fastaScan(const KtupIndex &index, const bio::Sequence &query,
     const bool run_opt = out.initn >= params.optThreshold;
     trace.opt(run_opt);
     if (run_opt) {
-        const LocalScore banded = bandedSmithWatermanScan(
-            query, subject, matrix, gaps, candidates.front().diag,
-            params.bandHalfWidth,
-            [&](int i, int, int h, int, int f) {
-                trace.optCell(i, h, f);
-            });
-        out.opt = banded.score;
+        out.opt = trace.optBand(query.residues().data(), m, sres, n,
+                                matrix, gaps, candidates.front().diag,
+                                params.bandHalfWidth);
         if (cells) {
             *cells += static_cast<std::uint64_t>(
                           2 * params.bandHalfWidth + 1)

@@ -1,13 +1,14 @@
 /**
  * @file
  * The only translation unit compiled with -mavx2: the AVX2 kernel
- * instantiations (striped u8/i16, the traceback's i16 end pass and
- * inter-sequence u8), reached through plain function pointers so
+ * instantiations (striped u8/i16, the traceback's i16 end pass,
+ * the i16 band kernel and inter-sequence u8), reached through plain function pointers so
  * the rest of the library stays at the baseline ISA and dispatch
  * is guarded by runtime CPUID
  * (sw_striped_native.cc / sw_intersequence_native.cc).
  */
 
+#include "banded_native_impl.hh"
 #include "sw_intersequence_native_impl.hh"
 #include "sw_striped_native_impl.hh"
 
@@ -46,6 +47,16 @@ endI16Avx2(const std::int16_t *profile, int seg,
 {
     return stripedEndI16<vec::native::Avx2I16>(
         profile, seg, subject, n, open_cost, ext_cost, target);
+}
+
+int
+bandI16Avx2(const std::int16_t *scores, std::size_t stride, int qlo,
+            int m, const bio::Residue *subject, int n, int open_cost,
+            int ext_cost, int center, int half_width)
+{
+    return bandedScoreI16<vec::native::Avx2I16>(
+        scores, stride, qlo, m, subject, n, open_cost, ext_cost, center,
+        half_width);
 }
 
 void

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "banded_native.hh"
+#include "banded_native_impl.hh"
 #include "smith_waterman.hh"
 #include "sw_striped_native_impl.hh"
 
@@ -272,6 +274,10 @@ LocalScore scanI16Avx2(const std::int16_t *profile, int seg,
 LocalScore endI16Avx2(const std::int16_t *profile, int seg,
                       const bio::Residue *subject, std::size_t n,
                       int open_cost, int ext_cost, int target);
+int bandI16Avx2(const std::int16_t *scores, std::size_t stride,
+                int qlo, int m, const bio::Residue *subject, int n,
+                int open_cost, int ext_cost, int center,
+                int half_width);
 } // namespace detail
 #endif
 
@@ -370,6 +376,56 @@ swStripedEnd16(SimdBackend backend, const StripedProfile16 &profile16,
         return detail::stripedEndI16<vec::native::PortableI16>(
             profile, seg, subject, n, open_cost, ext_cost, target);
     }
+}
+
+std::optional<int>
+bandedScoreNative(const BandProfile &profile, int qlo, int m,
+                  const bio::Residue *subject, int n,
+                  const bio::GapPenalties &gaps, int center_diagonal,
+                  int half_width)
+{
+    const int open_cost = gaps.openCost();
+    const int ext_cost = gaps.extendCost();
+    if (half_width > BandProfile::maxHalfWidth || ext_cost < 0
+        || open_cost < ext_cost || open_cost > 32767)
+        return std::nullopt;
+    if (half_width < 0)
+        return 0;
+    const std::int16_t *scores = profile.scores();
+    const std::size_t stride = profile.stride();
+    int best = 0;
+    switch (profile.backend()) {
+#if BIOARCH_NATIVE_SIMD && defined(__SSE2__)
+    case SimdBackend::SSE2:
+        best = detail::bandedScoreI16<vec::native::Sse2I16>(
+            scores, stride, qlo, m, subject, n, open_cost, ext_cost,
+            center_diagonal, half_width);
+        break;
+#endif
+#if BIOARCH_NATIVE_AVX2
+    case SimdBackend::AVX2:
+        best = detail::bandI16Avx2(scores, stride, qlo, m, subject, n,
+                                   open_cost, ext_cost,
+                                   center_diagonal, half_width);
+        break;
+#endif
+#if BIOARCH_NATIVE_SIMD && defined(__ARM_NEON) && defined(__aarch64__)
+    case SimdBackend::NEON:
+        best = detail::bandedScoreI16<vec::native::NeonI16>(
+            scores, stride, qlo, m, subject, n, open_cost, ext_cost,
+            center_diagonal, half_width);
+        break;
+#endif
+    default:
+        best = detail::bandedScoreI16<vec::native::PortableI16>(
+            scores, stride, qlo, m, subject, n, open_cost, ext_cost,
+            center_diagonal, half_width);
+        break;
+    }
+    // Below this bound no lane can have saturated.
+    if (best >= 32767 - profile.maxScore())
+        return std::nullopt;
+    return best;
 }
 
 LocalScore

@@ -92,6 +92,11 @@ struct NativeScanStats
     std::uint64_t interSequence = 0;
     /** Subjects scanned by the striped kernel. */
     std::uint64_t striped = 0;
+    /** Score-only bands (FASTA opt, BLAST gapped) run by the SIMD
+     * band kernel, and by the scalar band (no profile, or a band
+     * the kernel declined). */
+    std::uint64_t bandSimd = 0;
+    std::uint64_t bandScalar = 0;
 };
 
 /** Merge per-task ladder counts (e.g. per-shard into per-batch). */
@@ -103,6 +108,8 @@ operator+=(NativeScanStats &a, const NativeScanStats &b)
     a.rescansScalar += b.rescansScalar;
     a.interSequence += b.interSequence;
     a.striped += b.striped;
+    a.bandSimd += b.bandSimd;
+    a.bandScalar += b.bandScalar;
     return a;
 }
 

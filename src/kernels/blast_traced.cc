@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "align/banded_impl.hh"
 #include "align/blast_impl.hh"
 #include "bio/scoring.hh"
 #include "trace/tracer.hh"
@@ -155,6 +156,25 @@ class BlastTrace
         }
     }
 
+    /** The gapped stage's banded DP: the scalar band, one
+     * gappedCell per cell. */
+    int
+    gappedBand(const bio::Residue *query, int qlo, int m,
+               const bio::Residue *subject, int n,
+               const bio::ScoringMatrix &matrix,
+               const bio::GapPenalties &gaps, int center,
+               int half_width)
+    {
+        return align::bandedSmithWatermanScan(
+                   query + qlo, m, subject, n, matrix, gaps, center,
+                   half_width,
+                   [&](int i, int, int h, int, int f) {
+                       gappedCell(i, h, f);
+                   })
+            .score;
+    }
+
+  private:
     void
     gappedCell(int i, int h, int f)
     {
@@ -171,7 +191,6 @@ class BlastTrace
         _rowPtr = _t.alu({_rowPtr});
     }
 
-  private:
     /** One extension step, shared by both directions: residue
      * loads, matrix lookup, accumulate. */
     void

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "align/banded_impl.hh"
 #include "align/fasta_impl.hh"
 #include "bio/scoring.hh"
 #include "trace/tracer.hh"
@@ -176,6 +177,24 @@ class FastaTrace
         }
     }
 
+    /** Stage 5's banded DP: the scalar band, one optCell per
+     * cell. */
+    int
+    optBand(const bio::Residue *query, int m,
+            const bio::Residue *subject, int n,
+            const bio::ScoringMatrix &matrix,
+            const bio::GapPenalties &gaps, int center, int half_width)
+    {
+        return align::bandedSmithWatermanScan(
+                   query, m, subject, n, matrix, gaps, center,
+                   half_width,
+                   [&](int i, int, int h, int, int f) {
+                       optCell(i, h, f);
+                   })
+            .score;
+    }
+
+  private:
     void
     optCell(int i, int h, int f)
     {
@@ -194,7 +213,6 @@ class FastaTrace
         _rowPtr = _t.alu({_rowPtr});
     }
 
-  private:
     Tracer &_t;
     const FastaImage _img;
     isa::Addr _seqBase = 0;

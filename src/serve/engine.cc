@@ -65,6 +65,11 @@ Engine::Engine(const bio::SequenceDatabase &db, EngineConfig config)
         &m.counter("native_intersequence_total", backend_label);
     _mNativeStriped =
         &m.counter("native_striped_total", backend_label);
+    // Which DP ran each score-only FASTA opt / BLAST gapped band:
+    // the SIMD band kernel, or the scalar band (Portable backend,
+    // or a band the kernel declined).
+    _mBandSimd = &m.counter("serve_band_total", "path=\"simd\"");
+    _mBandScalar = &m.counter("serve_band_total", "path=\"scalar\"");
     _mTracebackCells = &m.counter("traceback_cells_total");
     // Which algorithm emitted each Smith-Waterman/FASTA alignment
     // (PreparedQuery::traceback): the SIMD-anchored band, or
@@ -353,6 +358,8 @@ Engine::runBatch(const Request *requests, std::size_t count,
     _mNativeRescansScalar->inc(native.rescansScalar);
     _mNativeInterseq->inc(native.interSequence);
     _mNativeStriped->inc(native.striped);
+    _mBandSimd->inc(native.bandSimd);
+    _mBandScalar->inc(native.bandScalar);
     _mTracebackCells->inc(traced.totalCells);
     _mTracebackSimd->inc(traced.simdPaths);
     _mTracebackHirschberg->inc(traced.hirschbergPaths);

@@ -250,6 +250,8 @@ class Engine : public BatchServer
     obs::Counter *_mNativeRescansScalar;
     obs::Counter *_mNativeInterseq;
     obs::Counter *_mNativeStriped;
+    obs::Counter *_mBandSimd;
+    obs::Counter *_mBandScalar;
     obs::Counter *_mTracebackCells;
     obs::Counter *_mTracebackSimd;
     obs::Counter *_mTracebackHirschberg;

@@ -22,9 +22,9 @@ PreparedQuery::PreparedQuery(const Request &request,
       _query(&request.query),
       _matrix(&matrix),
       _gaps(gaps),
-      _tracebackBackend(backend == align::SimdBackend::Model
-                            ? align::bestNativeBackend()
-                            : backend),
+      _nativeBackend(backend == align::SimdBackend::Model
+                         ? align::bestNativeBackend()
+                         : backend),
       _fasta(fasta),
       _blast(blast),
       _blastn(blastn)
@@ -95,14 +95,14 @@ PreparedQuery::scan(const bio::Sequence &subject,
     case kernels::Workload::Fasta34: {
         const align::FastaScores fs = align::fastaScan(
             *_ktup, *_query, subject, *_matrix, _gaps, _fasta,
-            cells);
+            cells, bandProfile(), stats);
         ls.score = std::max(fs.opt, fs.initn);
         return ls;
     }
     case kernels::Workload::Blast: {
         const align::BlastScores bs = align::blastScan(
             *_neighborhood, *_query, subject, *_matrix, _gaps,
-            _blast, cells);
+            _blast, cells, bandProfile(), stats);
         ls.score = std::max(bs.score, 0);
         return ls;
     }
@@ -125,9 +125,19 @@ PreparedQuery::tracebackProfile() const
         return *_native;
     std::call_once(_tracebackOnce, [this] {
         _tracebackNative = std::make_unique<align::NativeQueryProfile>(
-            *_query, *_matrix, _tracebackBackend);
+            *_query, *_matrix, _nativeBackend);
     });
     return *_tracebackNative;
+}
+
+const align::BandProfile *
+PreparedQuery::bandProfile() const
+{
+    std::call_once(_bandOnce, [this] {
+        _band = align::makeBandProfile(*_query, *_matrix,
+                                       _nativeBackend);
+    });
+    return _band.get();
 }
 
 align::CigarAlignment
@@ -152,7 +162,7 @@ PreparedQuery::traceback(const bio::Sequence &subject,
     // Without hardware SIMD the striped passes run on the portable
     // backend, several times slower than scalar Hirschberg
     // (bench_traceback's native arm), so those builds keep it.
-    if (_tracebackBackend == align::SimdBackend::Portable) {
+    if (_nativeBackend == align::SimdBackend::Portable) {
         if (stats != nullptr)
             ++stats->hirschbergPaths;
         return fasta

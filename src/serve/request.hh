@@ -18,6 +18,7 @@
 #include <mutex>
 #include <vector>
 
+#include "align/banded_native.hh"
 #include "align/blast.hh"
 #include "align/blastn.hh"
 #include "align/fasta.hh"
@@ -139,8 +140,11 @@ class PreparedQuery
      * @param backend kernel backend for the Smith-Waterman kinds
      *        (ssearch34 / sw_vmx*): any native backend routes their
      *        scans through the striped native kernel; Model keeps
-     *        the instruction-accurate model kernels. The heuristics
-     *        (FASTA, BLAST) are unaffected.
+     *        the instruction-accurate model kernels. FASTA's opt
+     *        band and BLAST's gapped band run the SIMD band kernel
+     *        on it (Model maps to the best native backend), except
+     *        on Portable, where they keep the scalar band; their
+     *        scores are the same either way.
      */
     PreparedQuery(const Request &request,
                   const bio::ScoringMatrix &matrix,
@@ -180,9 +184,11 @@ class PreparedQuery
      * score for BLAST); the heuristics leave the end coordinates
      * at -1, as their drivers do.
      *
-     * @param[out] stats optional native overflow-ladder accounting
-     *        (u8 scans / i16 / scalar rescans); untouched on the
-     *        model and heuristic paths
+     * @param[out] stats optional native accounting: overflow-ladder
+     *        counts (u8 scans / i16 / scalar rescans) on the native
+     *        Smith-Waterman path, band path counts (SIMD / scalar)
+     *        for FASTA's opt and BLAST's gapped band; untouched on
+     *        the model path and by blastn
      */
     align::LocalScore
     scan(const bio::Sequence &subject, std::uint64_t *cells,
@@ -241,13 +247,17 @@ class PreparedQuery
   private:
     /** The native profile tracebacks use (see traceback()). */
     const align::NativeQueryProfile &tracebackProfile() const;
+    /** FASTA's and BLAST's band profile, built on first use;
+     * nullptr where the scalar band runs (makeBandProfile). */
+    const align::BandProfile *bandProfile() const;
 
     kernels::Workload _kind;
     const bio::Sequence *_query;
     const bio::ScoringMatrix *_matrix;
     bio::GapPenalties _gaps;
-    /** Native backend of the traceback (Model maps to the best). */
-    align::SimdBackend _tracebackBackend;
+    /** Native backend of the traceback and of the band kernel
+     * (Model maps to the best). */
+    align::SimdBackend _nativeBackend;
     align::FastaParams _fasta;
     align::BlastParams _blast;
     align::BlastnParams _blastn;
@@ -268,6 +278,8 @@ class PreparedQuery
     // profile (FASTA, Model-backend SW): made on first traceback.
     mutable std::once_flag _tracebackOnce;
     mutable std::unique_ptr<align::NativeQueryProfile> _tracebackNative;
+    mutable std::once_flag _bandOnce;
+    mutable std::unique_ptr<align::BandProfile> _band;
 };
 
 /** Knobs of the deterministic synthetic request stream. */

@@ -28,6 +28,16 @@
  *   hmax(a)                            // horizontal maximum
  *   anyGt(a,b)                         // any lane a > b
  *
+ * The I16 flavors add what the banded kernel
+ * (align/banded_native_impl.hh) needs on top:
+ *
+ *   loadu(p)                           // load, any alignment
+ *   store(p, a)                        // store, p as for load
+ *   cmpgt(a,b)                         // lane mask: a > b ? -1 : 0
+ *   shiftInZero<K>(a)                  // K lanes toward higher
+ *                                      // index, 0 into lanes < K
+ *   broadcastLast(a)                   // splat of the last lane
+ *
  * The U8 flavors are unsigned saturating (Farrar's biased 8-bit
  * profile arithmetic: clamping at 0 is exactly the Smith-Waterman
  * zero clamp); the I16 flavors are signed saturating (the 16-bit
@@ -257,15 +267,31 @@ struct PortableI16
             r.v[i] = static_cast<Elem>(a.v[i] & b.v[i]);
         return r;
     }
+    static Reg loadu(const Elem *p) { return load(p); }
+    static void
+    store(Elem *p, Reg a)
+    {
+        for (int i = 0; i < lanes; ++i)
+            p[i] = a.v[i];
+    }
+    static Reg
+    cmpgt(Reg a, Reg b)
+    {
+        Reg r;
+        for (int i = 0; i < lanes; ++i)
+            r.v[i] = static_cast<Elem>(a.v[i] > b.v[i] ? -1 : 0);
+        return r;
+    }
+    template <int K = 1>
     static Reg
     shiftInZero(Reg a)
     {
         Reg r;
-        r.v[0] = 0;
-        for (int i = 1; i < lanes; ++i)
-            r.v[i] = a.v[i - 1];
+        for (int i = 0; i < lanes; ++i)
+            r.v[i] = i < K ? Elem(0) : a.v[i - K];
         return r;
     }
+    static Reg broadcastLast(Reg a) { return splat(a.v[lanes - 1]); }
     static Elem
     hmax(Reg a)
     {
@@ -341,11 +367,33 @@ struct Sse2I16
     {
         return _mm_load_si128(reinterpret_cast<const __m128i *>(p));
     }
+    static Reg
+    loadu(const Elem *p)
+    {
+        return _mm_loadu_si128(reinterpret_cast<const __m128i *>(p));
+    }
+    static void
+    store(Elem *p, Reg a)
+    {
+        _mm_store_si128(reinterpret_cast<__m128i *>(p), a);
+    }
     static Reg adds(Reg a, Reg b) { return _mm_adds_epi16(a, b); }
     static Reg subs(Reg a, Reg b) { return _mm_subs_epi16(a, b); }
     static Reg max(Reg a, Reg b) { return _mm_max_epi16(a, b); }
     static Reg band(Reg a, Reg b) { return _mm_and_si128(a, b); }
-    static Reg shiftInZero(Reg a) { return _mm_slli_si128(a, 2); }
+    static Reg cmpgt(Reg a, Reg b) { return _mm_cmpgt_epi16(a, b); }
+    template <int K = 1>
+    static Reg
+    shiftInZero(Reg a)
+    {
+        return _mm_slli_si128(a, 2 * K);
+    }
+    static Reg
+    broadcastLast(Reg a)
+    {
+        const __m128i hi = _mm_shufflehi_epi16(a, 0xFF);
+        return _mm_unpackhi_epi64(hi, hi);
+    }
     static Elem
     hmax(Reg a)
     {
@@ -443,14 +491,34 @@ struct Avx2I16
         return _mm256_load_si256(
             reinterpret_cast<const __m256i *>(p));
     }
+    static Reg
+    loadu(const Elem *p)
+    {
+        return _mm256_loadu_si256(
+            reinterpret_cast<const __m256i *>(p));
+    }
+    static void
+    store(Elem *p, Reg a)
+    {
+        _mm256_store_si256(reinterpret_cast<__m256i *>(p), a);
+    }
     static Reg adds(Reg a, Reg b) { return _mm256_adds_epi16(a, b); }
     static Reg subs(Reg a, Reg b) { return _mm256_subs_epi16(a, b); }
     static Reg max(Reg a, Reg b) { return _mm256_max_epi16(a, b); }
     static Reg band(Reg a, Reg b) { return _mm256_and_si256(a, b); }
+    static Reg cmpgt(Reg a, Reg b) { return _mm256_cmpgt_epi16(a, b); }
+    template <int K = 1>
     static Reg
     shiftInZero(Reg a)
     {
-        return detail::shiftLeft256<2>(a);
+        return detail::shiftLeft256<2 * K>(a);
+    }
+    static Reg
+    broadcastLast(Reg a)
+    {
+        // Lanes 12..15 become lane 15, then that quadword fills all.
+        return _mm256_permute4x64_epi64(_mm256_shufflehi_epi16(a, 0xFF),
+                                        0xFF);
     }
     static Elem
     hmax(Reg a)
@@ -508,15 +576,24 @@ struct NeonI16
     static Reg zero() { return vdupq_n_s16(0); }
     static Reg splat(Elem x) { return vdupq_n_s16(x); }
     static Reg load(const Elem *p) { return vld1q_s16(p); }
+    static Reg loadu(const Elem *p) { return vld1q_s16(p); }
+    static void store(Elem *p, Reg a) { vst1q_s16(p, a); }
     static Reg adds(Reg a, Reg b) { return vqaddq_s16(a, b); }
     static Reg subs(Reg a, Reg b) { return vqsubq_s16(a, b); }
     static Reg max(Reg a, Reg b) { return vmaxq_s16(a, b); }
     static Reg band(Reg a, Reg b) { return vandq_s16(a, b); }
     static Reg
+    cmpgt(Reg a, Reg b)
+    {
+        return vreinterpretq_s16_u16(vcgtq_s16(a, b));
+    }
+    template <int K = 1>
+    static Reg
     shiftInZero(Reg a)
     {
-        return vextq_s16(vdupq_n_s16(0), a, 7);
+        return vextq_s16(vdupq_n_s16(0), a, lanes - K);
     }
+    static Reg broadcastLast(Reg a) { return vdupq_laneq_s16(a, 7); }
     static Elem hmax(Reg a) { return vmaxvq_s16(a); }
     static bool
     anyGt(Reg a, Reg b)
